@@ -14,19 +14,18 @@
 use crate::accumulate::CatalogueAccumulator;
 use crate::cdf::EmpiricalCdf;
 use crate::error::AnalysisError;
-use crate::mse::{block_mse_into, memory_mse_for_data, memory_mse_sparse_with};
+use crate::mse::{block_mse_into, memory_mse_sparse_with};
 use crate::yield_model::YieldModel;
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{
-    DataImage, DieBlock, FailureCountDistribution, FaultBackend, ImageSpec, MemoryConfig,
-    OperatingPoint, SramVddBackend, W256,
+    DieBlock, FailureCountDistribution, FaultBackend, ImageSpec, MemoryConfig, OperatingPoint,
+    SramVddBackend, W256,
 };
 use faultmit_obs as obs;
 use faultmit_sim::{
-    Campaign, CampaignConfig, KernelKind, Parallelism, RunError, ShardSpec, ShardStats, SimError,
+    blocks, per_die, Campaign, CampaignConfig, KernelKind, Parallelism, ShardSpec, ShardStats,
+    SimError,
 };
-use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of one Monte-Carlo campaign, generic over the
 /// fault-generating [`FaultBackend`] (default: the paper's SRAM
@@ -43,7 +42,6 @@ pub struct MonteCarloConfig<B: FaultBackend = SramVddBackend> {
     image: ImageSpec,
     kernel: KernelKind,
     auto_threshold: Option<f64>,
-    wide_generation: bool,
 }
 
 impl MonteCarloConfig<SramVddBackend> {
@@ -106,7 +104,6 @@ impl<B: FaultBackend> MonteCarloConfig<B> {
             image: ImageSpec::Zeros,
             kernel: KernelKind::default(),
             auto_threshold: None,
-            wide_generation: true,
         }
     }
 
@@ -158,8 +155,8 @@ impl<B: FaultBackend> MonteCarloConfig<B> {
     /// so the asymmetric [`faultmit_memsim::FaultKindLaw`]s finally
     /// differentiate schemes. Self-contained images materialise inside the
     /// engine; [`ImageSpec::App`] images must be materialised by the apps
-    /// layer and passed to
-    /// [`MonteCarloEngine::run_catalogue_shard_on_image`].
+    /// layer and passed as the `data` of
+    /// [`MonteCarloEngine::run_catalogue_shard`].
     #[must_use]
     pub fn with_image(mut self, image: ImageSpec) -> Self {
         self.image = image;
@@ -175,9 +172,7 @@ impl<B: FaultBackend> MonteCarloConfig<B> {
     /// Selects the evaluation kernel (default: [`KernelKind::Sparse`]).
     ///
     /// All kernels accumulate **bit-identical** results — the choice only
-    /// trades throughput: `scalar` walks every faulty row through the
-    /// generic path against a materialised image, `sparse` is event-driven,
-    /// `bitsliced` evaluates up to 64 dies per `u64` lane, `bitsliced256`
+    /// trades throughput: `sparse` is event-driven, `bitsliced256`
     /// evaluates up to 256 dies per [`W256`] lane, and `auto` resolves to
     /// `sparse` or `bitsliced256` from the campaign's expected fault
     /// density before any sampling happens (see
@@ -211,22 +206,6 @@ impl<B: FaultBackend> MonteCarloConfig<B> {
     #[must_use]
     pub fn auto_threshold(&self) -> Option<f64> {
         self.auto_threshold
-    }
-
-    /// Toggles the lane-interleaved block generation path (default **on**;
-    /// see [`faultmit_sim::CampaignConfig::with_wide_generation`]). Results
-    /// are bit-identical either way; the toggle is the scalar baseline for
-    /// benches and equivalence gates.
-    #[must_use]
-    pub fn with_wide_generation(mut self, wide_generation: bool) -> Self {
-        self.wide_generation = wide_generation;
-        self
-    }
-
-    /// Whether block kernels use the lane-interleaved generation path.
-    #[must_use]
-    pub fn wide_generation(&self) -> bool {
-        self.wide_generation
     }
 
     /// The fixed kernel this configuration's [`KernelKind`] resolves to:
@@ -327,8 +306,7 @@ impl<B: FaultBackend> MonteCarloConfig<B> {
             .with_coverage(self.coverage)
             .with_chunk_size(self.chunk_size)
             .with_parallelism(self.parallelism)
-            .with_image(self.image)
-            .with_wide_generation(self.wide_generation);
+            .with_image(self.image);
         if let Some(max) = self.max_failures {
             config = config.with_max_failures(max);
         }
@@ -340,34 +318,6 @@ fn sim_to_analysis_error(error: SimError) -> AnalysisError {
     match error {
         SimError::InvalidParameter { reason } => AnalysisError::InvalidParameter { reason },
         SimError::Memory(e) => AnalysisError::Memory(e),
-    }
-}
-
-fn run_to_analysis_error(error: RunError<Infallible>) -> AnalysisError {
-    match error {
-        RunError::Sim(e) => sim_to_analysis_error(e),
-        RunError::Eval(infallible) => match infallible {},
-    }
-}
-
-/// Snapshots the calling thread's recorder (if any) so a `_stats` runner can
-/// report the metrics delta its shard produced alongside the timing.
-fn metrics_baseline() -> (Option<std::sync::Arc<obs::Recorder>>, obs::MetricsSnapshot) {
-    let recorder = obs::current();
-    let before = recorder.as_ref().map(|r| r.snapshot()).unwrap_or_default();
-    (recorder, before)
-}
-
-fn stats_from_nanos(
-    gen_nanos: &AtomicU64,
-    baseline: &(Option<std::sync::Arc<obs::Recorder>>, obs::MetricsSnapshot),
-) -> ShardStats {
-    ShardStats {
-        generation_seconds: gen_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-        metrics: match &baseline.0 {
-            Some(recorder) => recorder.snapshot().since(&baseline.1),
-            None => obs::MetricsSnapshot::default(),
-        },
     }
 }
 
@@ -457,12 +407,20 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
         schemes: &[S],
         seed: u64,
     ) -> Result<Vec<SchemeMseResult>, AnalysisError> {
-        let state = self.run_catalogue_shard(schemes, seed, ShardSpec::solo())?;
+        let (state, _) = self.run_catalogue_shard(schemes, seed, ShardSpec::solo(), None)?;
         self.results_from_state(schemes, state)
     }
 
     /// Runs one shard of the paired campaign, returning the raw accumulator
-    /// state instead of finished results.
+    /// state instead of finished results, with the shard's [`ShardStats`].
+    ///
+    /// `data` holds one stored word per memory row, for callers that
+    /// materialise image words themselves (the apps layer resolves
+    /// [`ImageSpec::App`] matrices this way). `None` evaluates against the
+    /// configured image: the all-zeros fast path for [`ImageSpec::Zeros`]
+    /// — bit-identical to `Some` of an explicit all-zeros vector, since a
+    /// fault's observed word does not depend on how the zero background is
+    /// spelled — and a per-row gather from any other self-contained image.
     ///
     /// Shard states merged in shard order (via
     /// [`faultmit_sim::Accumulator::merge`]) are bit-identical to the
@@ -472,223 +430,17 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
     ///
     /// # Errors
     ///
-    /// Propagates configuration and sampling errors.
+    /// Returns [`AnalysisError::InvalidParameter`] when `data` has fewer
+    /// entries than the memory has rows, propagates the "resolve through
+    /// the apps layer" error of an [`ImageSpec::App`] image passed without
+    /// `data`, and propagates campaign errors.
     pub fn run_catalogue_shard<S: MitigationScheme + Sync>(
         &self,
         schemes: &[S],
         seed: u64,
         shard: ShardSpec,
-    ) -> Result<CatalogueAccumulator, AnalysisError> {
-        self.run_catalogue_shard_gen(schemes, seed, shard, None)
-    }
-
-    /// [`MonteCarloEngine::run_catalogue_shard`] plus a [`ShardStats`]
-    /// timing breakdown (generation seconds summed across workers). The
-    /// accumulator is bit-identical to the untimed runner's; the plain
-    /// runner skips the clock reads entirely.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MonteCarloEngine::run_catalogue_shard`].
-    pub fn run_catalogue_shard_stats<S: MitigationScheme + Sync>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-    ) -> Result<(CatalogueAccumulator, ShardStats), AnalysisError> {
-        let gen_nanos = AtomicU64::new(0);
-        let baseline = metrics_baseline();
-        let state = self.run_catalogue_shard_gen(schemes, seed, shard, Some(&gen_nanos))?;
-        Ok((state, stats_from_nanos(&gen_nanos, &baseline)))
-    }
-
-    fn run_catalogue_shard_gen<S: MitigationScheme + Sync>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        gen_timer: Option<&AtomicU64>,
-    ) -> Result<CatalogueAccumulator, AnalysisError> {
-        match self.config.image {
-            // The all-zeros fast path: exactly the historical evaluation,
-            // bit-identical to the pre-image pipeline.
-            ImageSpec::Zeros => {
-                self.run_catalogue_shard_on_image_gen(schemes, seed, shard, None, gen_timer)
-            }
-            spec => {
-                // Self-contained images resolve here; App images propagate
-                // memsim's "resolve through the apps layer" error. The
-                // event-driven kernel gathers image words per faulty row, so
-                // the image is never materialised memory-wide.
-                let image = spec.try_materialise(self.config.memory())?;
-                self.run_catalogue_shard_with_image(schemes, seed, shard, image.as_ref(), gen_timer)
-            }
-        }
-    }
-
-    /// The campaign body for a row-addressable data image: dies evaluate
-    /// through the configured [`KernelKind`], querying `image` only at
-    /// fault-bearing rows — bit-identical to evaluating against the image's
-    /// dense [`DataImage::materialise`] vector, whichever kernel runs.
-    fn run_catalogue_shard_with_image<S: MitigationScheme + Sync>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        image: &dyn DataImage,
-        gen_timer: Option<&AtomicU64>,
-    ) -> Result<CatalogueAccumulator, AnalysisError> {
-        self.run_campaign_kernel(schemes, seed, shard, |row| image.word(row), gen_timer)
-    }
-
-    /// Dispatches one shard of the paired campaign to the configured
-    /// evaluation kernel (`auto` resolves first, via
-    /// [`MonteCarloConfig::resolved_kernel`]), with `written` supplying the
-    /// stored word of every row. Every kernel folds the identical per-die
-    /// squared-error sums in the identical order, so the returned
-    /// accumulator is bit-identical across [`KernelKind`] choices.
-    fn run_campaign_kernel<S, W>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        written: W,
-        gen_timer: Option<&AtomicU64>,
-    ) -> Result<CatalogueAccumulator, AnalysisError>
-    where
-        S: MitigationScheme + Sync,
-        W: Fn(usize) -> u64 + Sync,
-    {
-        let campaign = Campaign::new(self.config.to_campaign_config()?);
-        let kernel = self.config.resolved_kernel()?;
-        // One dispatch event per shard run: `auto` resolves before any
-        // sampling, so the counters record the kernel that actually executed.
-        obs::count(
-            match kernel {
-                KernelKind::Auto => unreachable!("resolved_kernel always returns a fixed kernel"),
-                KernelKind::Scalar => obs::Counter::DispatchScalar,
-                KernelKind::Sparse => obs::Counter::DispatchSparse,
-                KernelKind::Bitsliced => obs::Counter::DispatchBitsliced,
-                KernelKind::Bitsliced256 => obs::Counter::DispatchBitsliced256,
-            },
-            1,
-        );
-        match kernel {
-            KernelKind::Auto => unreachable!("resolved_kernel always returns a fixed kernel"),
-            KernelKind::Sparse => campaign
-                .try_run_shard_timed(
-                    schemes,
-                    seed,
-                    shard,
-                    |scheme, map| {
-                        Ok::<f64, Infallible>(memory_mse_sparse_with(scheme, map, &written))
-                    },
-                    || CatalogueAccumulator::new(schemes.len()),
-                    gen_timer,
-                )
-                .map_err(run_to_analysis_error),
-            KernelKind::Scalar => {
-                // The flat-scan kernel walks a dense image, so materialise
-                // `written` once up front; the per-row words are the same
-                // ones the sparse closure would return.
-                let data: Vec<u64> = (0..self.config.memory().rows()).map(&written).collect();
-                campaign
-                    .try_run_shard_timed(
-                        schemes,
-                        seed,
-                        shard,
-                        |scheme, map| {
-                            Ok::<f64, Infallible>(memory_mse_for_data(scheme, map, &data))
-                        },
-                        || CatalogueAccumulator::new(schemes.len()),
-                        gen_timer,
-                    )
-                    .map_err(run_to_analysis_error)
-            }
-            KernelKind::Bitsliced => campaign
-                .run_shard_blocks_timed(
-                    schemes,
-                    seed,
-                    shard,
-                    |scheme, map| memory_mse_sparse_with(scheme, map, &written),
-                    |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-                        block_mse_into(scheme, block, &written, out);
-                    },
-                    || CatalogueAccumulator::new(schemes.len()),
-                    gen_timer,
-                )
-                .map_err(sim_to_analysis_error),
-            KernelKind::Bitsliced256 => campaign
-                .run_shard_blocks_timed(
-                    schemes,
-                    seed,
-                    shard,
-                    |scheme, map| memory_mse_sparse_with(scheme, map, &written),
-                    |scheme, block: &DieBlock<'_, W256>, out: &mut [f64]| {
-                        block_mse_into(scheme, block, &written, out);
-                    },
-                    || CatalogueAccumulator::new(schemes.len()),
-                    gen_timer,
-                )
-                .map_err(sim_to_analysis_error),
-        }
-    }
-
-    /// Runs one shard of the paired campaign against an explicit data
-    /// image — the data-aware twin of
-    /// [`MonteCarloEngine::run_catalogue_shard`], for callers that
-    /// materialise image words themselves (the apps layer resolves
-    /// [`ImageSpec::App`] matrices this way).
-    ///
-    /// `data` holds one stored word per memory row; `None` selects the
-    /// all-zeros fast path, whose accumulation is **bit-identical** to the
-    /// legacy pipeline — and to `Some` of an explicit all-zeros vector,
-    /// since a fault's observed word does not depend on how the zero
-    /// background is spelled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::InvalidParameter`] when `data` has fewer
-    /// entries than the memory has rows, and propagates campaign errors.
-    pub fn run_catalogue_shard_on_image<S: MitigationScheme + Sync>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        data: Option<&[u64]>,
-    ) -> Result<CatalogueAccumulator, AnalysisError> {
-        self.run_catalogue_shard_on_image_gen(schemes, seed, shard, data, None)
-    }
-
-    /// [`MonteCarloEngine::run_catalogue_shard_on_image`] plus a
-    /// [`ShardStats`] timing breakdown (see
-    /// [`MonteCarloEngine::run_catalogue_shard_stats`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MonteCarloEngine::run_catalogue_shard_on_image`].
-    pub fn run_catalogue_shard_on_image_stats<S: MitigationScheme + Sync>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
         data: Option<&[u64]>,
     ) -> Result<(CatalogueAccumulator, ShardStats), AnalysisError> {
-        let gen_nanos = AtomicU64::new(0);
-        let baseline = metrics_baseline();
-        let state =
-            self.run_catalogue_shard_on_image_gen(schemes, seed, shard, data, Some(&gen_nanos))?;
-        Ok((state, stats_from_nanos(&gen_nanos, &baseline)))
-    }
-
-    fn run_catalogue_shard_on_image_gen<S: MitigationScheme + Sync>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        data: Option<&[u64]>,
-        gen_timer: Option<&AtomicU64>,
-    ) -> Result<CatalogueAccumulator, AnalysisError> {
         if let Some(data) = data {
             let rows = self.config.memory().rows();
             if data.len() < rows {
@@ -699,16 +451,61 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
                     ),
                 });
             }
+            return self.run_campaign_kernel(schemes, seed, shard, |row| data[row]);
         }
-        match data {
+        match self.config.image {
             // `memory_mse_sparse` is `memory_mse_sparse_with` against the
             // `|_| 0` word source, so the zeros fast path and an explicit
             // zeros vector share one dispatcher without a bit of drift.
-            None => self.run_campaign_kernel(schemes, seed, shard, |_| 0, gen_timer),
-            Some(data) => {
-                self.run_campaign_kernel(schemes, seed, shard, |row| data[row], gen_timer)
+            ImageSpec::Zeros => self.run_campaign_kernel(schemes, seed, shard, |_| 0),
+            spec => {
+                // Self-contained images resolve here; App images propagate
+                // memsim's "resolve through the apps layer" error. The
+                // kernels gather image words per faulty row, so the image
+                // is never materialised memory-wide.
+                let image = spec.try_materialise(self.config.memory())?;
+                self.run_campaign_kernel(schemes, seed, shard, |row| image.word(row))
             }
         }
+    }
+
+    /// Dispatches one shard of the paired campaign to the configured
+    /// evaluation kernel (`auto` resolves first, via
+    /// [`MonteCarloConfig::resolved_kernel`]), with `written` supplying the
+    /// stored word of every row. Both kernels fold the identical per-die
+    /// squared-error sums in the identical order, so the returned
+    /// accumulator is bit-identical across [`KernelKind`] choices.
+    fn run_campaign_kernel<S, W>(
+        &self,
+        schemes: &[S],
+        seed: u64,
+        shard: ShardSpec,
+        written: W,
+    ) -> Result<(CatalogueAccumulator, ShardStats), AnalysisError>
+    where
+        S: MitigationScheme + Sync,
+        W: Fn(usize) -> u64 + Sync,
+    {
+        let campaign = Campaign::new(self.config.to_campaign_config()?);
+        let accumulator = || CatalogueAccumulator::new(schemes.len());
+        let metric = |scheme: &S, map: &_| memory_mse_sparse_with(scheme, map, &written);
+        // One dispatch event per shard run: `auto` resolves before any
+        // sampling, so the counters record the kernel that actually executed.
+        let run = match self.config.resolved_kernel()? {
+            KernelKind::Auto => unreachable!("resolved_kernel always returns a fixed kernel"),
+            KernelKind::Sparse => {
+                obs::count(obs::Counter::DispatchSparse, 1);
+                campaign.execute(schemes, seed, shard, per_die(metric), accumulator)
+            }
+            KernelKind::Bitsliced256 => {
+                obs::count(obs::Counter::DispatchBitsliced256, 1);
+                let block = |scheme: &S, block: &DieBlock<'_, W256>, out: &mut [f64]| {
+                    block_mse_into(scheme, block, &written, out);
+                };
+                campaign.execute(schemes, seed, shard, blocks(metric, block), accumulator)
+            }
+        };
+        run.map_err(|error| sim_to_analysis_error(error.into()))
     }
 
     /// Converts accumulated (possibly shard-merged) campaign state into the
@@ -961,7 +758,12 @@ mod tests {
             let mut merged = CatalogueAccumulator::new(schemes.len());
             for index in 0..shard_count {
                 let shard = ShardSpec::new(index, shard_count).unwrap();
-                merged.merge(engine.run_catalogue_shard(&schemes, 37, shard).unwrap());
+                merged.merge(
+                    engine
+                        .run_catalogue_shard(&schemes, 37, shard, None)
+                        .unwrap()
+                        .0,
+                );
             }
             let results = engine.results_from_state(&schemes, merged).unwrap();
             for (a, b) in monolithic.iter().zip(&results) {
@@ -984,15 +786,18 @@ mod tests {
         let imaged = MonteCarloEngine::new(small_config().with_image(ImageSpec::Zeros));
         let schemes = [Scheme::unprotected32(), Scheme::shuffle32(2).unwrap()];
         let a = legacy
-            .run_catalogue_shard(&schemes, 23, ShardSpec::solo())
-            .unwrap();
+            .run_catalogue_shard(&schemes, 23, ShardSpec::solo(), None)
+            .unwrap()
+            .0;
         let b = imaged
-            .run_catalogue_shard(&schemes, 23, ShardSpec::solo())
-            .unwrap();
+            .run_catalogue_shard(&schemes, 23, ShardSpec::solo(), None)
+            .unwrap()
+            .0;
         let zeros = vec![0u64; legacy.config().memory().rows()];
         let c = legacy
-            .run_catalogue_shard_on_image(&schemes, 23, ShardSpec::solo(), Some(&zeros))
-            .unwrap();
+            .run_catalogue_shard(&schemes, 23, ShardSpec::solo(), Some(&zeros))
+            .unwrap()
+            .0;
         assert_eq!(a, b);
         assert_eq!(a, c);
     }
@@ -1014,21 +819,21 @@ mod tests {
         ];
         for image in [ImageSpec::Zeros, ImageSpec::UniformRandom { seed: 0xB17 }] {
             let run = |kernel| {
-                // 70 samples per count stresses both full 64-die blocks and
-                // the scalar tail inside every chunk.
+                // 350 samples in chunks of 349: one full 256-die block, a
+                // 93-die partial block, then a lone sample on the per-die
+                // tail.
                 let config = MonteCarloConfig::for_backend(backend)
                     .with_samples_per_count(70)
                     .with_max_failures(5)
-                    .with_chunk_size(67)
+                    .with_chunk_size(349)
                     .with_image(image)
                     .with_kernel(kernel);
                 MonteCarloEngine::new(config)
-                    .run_catalogue_shard(&schemes, 91, ShardSpec::solo())
+                    .run_catalogue_shard(&schemes, 91, ShardSpec::solo(), None)
                     .unwrap()
+                    .0
             };
             let sparse = run(KernelKind::Sparse);
-            assert_eq!(sparse, run(KernelKind::Scalar), "{image:?}: scalar");
-            assert_eq!(sparse, run(KernelKind::Bitsliced), "{image:?}: bitsliced");
             assert_eq!(
                 sparse,
                 run(KernelKind::Bitsliced256),
@@ -1060,10 +865,10 @@ mod tests {
         // Fixed kernels resolve to themselves.
         assert_eq!(
             sparse_config
-                .with_kernel(KernelKind::Bitsliced)
+                .with_kernel(KernelKind::Bitsliced256)
                 .resolved_kernel()
                 .unwrap(),
-            KernelKind::Bitsliced
+            KernelKind::Bitsliced256
         );
     }
 
@@ -1118,7 +923,7 @@ mod tests {
     fn short_data_images_are_rejected() {
         let engine = MonteCarloEngine::new(small_config());
         let error = engine
-            .run_catalogue_shard_on_image(
+            .run_catalogue_shard(
                 &[Scheme::unprotected32()],
                 1,
                 ShardSpec::solo(),

@@ -18,7 +18,8 @@
 //! paper's bit-flip injection model.
 //!
 //! Two kernels compute the same sum. The scalar kernels ([`memory_mse`],
-//! [`memory_mse_for_data`]) drive the generic `observe` path row by row; the
+//! [`memory_mse_for_data`]) drive the generic `observe` path row by row and
+//! serve as the equivalence suite's oracle (no campaign dispatches to them); the
 //! event-driven kernels ([`memory_mse_sparse`], [`memory_mse_sparse_with`])
 //! walk the fault map's sorted row groups once, hand each scheme its row
 //! slice through

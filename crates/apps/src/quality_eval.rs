@@ -26,8 +26,8 @@ use crate::pca::Pca;
 use crate::preprocessing::{train_test_split, Standardizer};
 use faultmit_analysis::{CatalogueAccumulator, EmpiricalCdf, YieldModel};
 use faultmit_core::MitigationScheme;
-use faultmit_memsim::{FaultBackend, FaultMap, FaultMapSampler, MemoryConfig, SramVddBackend};
-use faultmit_sim::{Campaign, CampaignConfig, MapPolicy, Parallelism, ShardSpec};
+use faultmit_memsim::{FaultBackend, FaultMap, FaultMapSampler, MemoryConfig};
+use faultmit_sim::{per_die, Campaign, CampaignConfig, MapPolicy, Parallelism, ShardSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -273,91 +273,21 @@ impl QualityEvaluator {
         self.quality_with_fault_map(scheme, &faults)
     }
 
-    /// Runs the full Fig. 7 Monte-Carlo campaign for one scheme: failure
-    /// counts `1..=max_failures`, `samples_per_count` fault maps each,
-    /// weighted by the binomial `Pr(N = n)` at the given `p_cell`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling and evaluation errors.
-    pub fn quality_cdf<S: MitigationScheme + Sync>(
-        &self,
-        scheme: &S,
-        p_cell: f64,
-        max_failures: u64,
-        samples_per_count: usize,
-        seed: u64,
-    ) -> Result<QualityCdfResult, AppError> {
-        self.quality_cdf_with_policy(scheme, p_cell, max_failures, samples_per_count, seed, false)
-    }
-
-    /// Like [`QualityEvaluator::quality_cdf`], but optionally discarding fault
-    /// maps that place more than one fault in a single memory word — a thin
-    /// shim over [`QualityEvaluator::quality_cdfs_paired`] with a one-element
-    /// catalogue.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling and evaluation errors.
-    pub fn quality_cdf_with_policy<S: MitigationScheme + Sync>(
-        &self,
-        scheme: &S,
-        p_cell: f64,
-        max_failures: u64,
-        samples_per_count: usize,
-        seed: u64,
-        discard_multi_fault_words: bool,
-    ) -> Result<QualityCdfResult, AppError> {
-        let mut results = self.quality_cdfs_paired(
-            &[scheme],
-            p_cell,
-            max_failures,
-            samples_per_count,
-            seed,
-            discard_multi_fault_words,
-        )?;
-        Ok(results.remove(0))
-    }
-
     /// Runs one paired Fig. 7 campaign over a whole scheme catalogue through
     /// the parallel fault-injection pipeline: every scheme trains on data
     /// corrupted by the **same** fault map of every sampled die, so scheme
     /// comparisons are exact per die, and dies are evaluated concurrently on
     /// worker threads (bit-identical at any worker count).
     ///
+    /// The campaign runs against an arbitrary [`FaultBackend`], so
+    /// per-technology quality CDFs (SRAM voltage scaling, DRAM retention,
+    /// MLC NVM, or custom models) come out of the identical protocol. The
+    /// backend must be built for this evaluator's memory geometry.
+    ///
     /// The paper's Fig. 7 protocol assumes "the small number of samples with
     /// more than one error per word are discarded, such that H(39,32) ECC
     /// provides error-free operation"; pass `discard_multi_fault_words =
     /// true` to reproduce that protocol.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling and evaluation errors.
-    pub fn quality_cdfs_paired<S: MitigationScheme + Sync>(
-        &self,
-        schemes: &[S],
-        p_cell: f64,
-        max_failures: u64,
-        samples_per_count: usize,
-        seed: u64,
-        discard_multi_fault_words: bool,
-    ) -> Result<Vec<QualityCdfResult>, AppError> {
-        let backend = SramVddBackend::with_p_cell(self.memory_config, p_cell)?;
-        self.quality_cdfs_paired_on(
-            schemes,
-            &backend,
-            max_failures,
-            samples_per_count,
-            seed,
-            discard_multi_fault_words,
-        )
-    }
-
-    /// The backend axis of the Fig. 7 harness: runs the paired campaign
-    /// against an arbitrary [`FaultBackend`], so per-technology quality
-    /// CDFs (SRAM voltage scaling, DRAM retention, MLC NVM, or custom
-    /// models) come out of the identical protocol. The backend must be
-    /// built for this evaluator's memory geometry.
     ///
     /// Note that `discard_multi_fault_words` is a best-effort bounded
     /// redraw: backends whose spatial law clusters faults (DRAM retention)
@@ -365,9 +295,6 @@ impl QualityEvaluator {
     /// survive and the SECDED reference is **not** error-free there — that
     /// degradation is precisely the technology effect the backend axis
     /// exists to expose.
-    ///
-    /// [`QualityEvaluator::quality_cdfs_paired`] is the SRAM shim over this
-    /// method and remains bit-identical to the historical results.
     ///
     /// # Errors
     ///
@@ -438,18 +365,16 @@ impl QualityEvaluator {
             // worker threads stay balanced.
             .with_chunk_size(4);
 
-        Campaign::new(config)
-            .try_run_shard(
-                schemes,
-                seed,
-                shard,
-                |scheme, faults| {
-                    let quality = self.quality_with_fault_map(scheme, faults)?;
-                    Ok::<f64, AppError>(normalized_quality(quality, baseline))
-                },
-                || CatalogueAccumulator::new(schemes.len()),
-            )
-            .map_err(AppError::from)
+        let evaluate = |scheme: &S, faults: &FaultMap| {
+            let quality = self.quality_with_fault_map(scheme, faults)?;
+            Ok::<f64, AppError>(normalized_quality(quality, baseline))
+        };
+        let (state, _) = Campaign::new(config)
+            .execute(schemes, seed, shard, per_die(evaluate), || {
+                CatalogueAccumulator::new(schemes.len())
+            })
+            .map_err(AppError::from)?;
+        Ok(state)
     }
 
     /// Converts accumulated (possibly shard-merged) campaign state into the
@@ -628,6 +553,7 @@ mod tests {
     use super::*;
     use faultmit_core::Scheme;
     use faultmit_memsim::Fault;
+    use faultmit_memsim::SramVddBackend;
 
     fn evaluator(benchmark: Benchmark) -> QualityEvaluator {
         QualityEvaluator::builder(benchmark)
@@ -721,9 +647,11 @@ mod tests {
             .memory_rows(128)
             .build()
             .unwrap();
+        let backend = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
         let result = eval
-            .quality_cdf_with_policy(&Scheme::secded32(), 1e-3, 6, 3, 23, true)
-            .unwrap();
+            .quality_cdfs_paired_on(&[Scheme::secded32()], &backend, 6, 3, 23, true)
+            .unwrap()
+            .remove(0);
         // With at most one fault per word, SECDED is error-free: every
         // normalised quality sample is 1.0.
         assert!((result.cdf.min().unwrap() - 1.0).abs() < 1e-9);
@@ -731,8 +659,8 @@ mod tests {
     }
 
     #[test]
-    fn backend_axis_matches_the_sram_shim_and_covers_all_technologies() {
-        use faultmit_memsim::{Backend, BackendKind, SramVddBackend};
+    fn backend_axis_covers_all_technologies() {
+        use faultmit_memsim::{Backend, BackendKind};
         let eval = QualityEvaluator::builder(Benchmark::Elasticnet)
             .samples(96)
             .memory_rows(128)
@@ -740,21 +668,8 @@ mod tests {
             .unwrap();
         let schemes = [Scheme::unprotected32(), Scheme::secded32()];
 
-        // The SRAM backend reproduces the p_cell-based shim bit-for-bit.
-        let shim = eval
-            .quality_cdfs_paired(&schemes, 1e-3, 4, 2, 19, false)
-            .unwrap();
-        let sram = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
-        let explicit = eval
-            .quality_cdfs_paired_on(&schemes, &sram, 4, 2, 19, false)
-            .unwrap();
-        for (a, b) in shim.iter().zip(&explicit) {
-            assert_eq!(a.cdf, b.cdf);
-            assert_eq!(a.baseline_quality.to_bits(), b.baseline_quality.to_bits());
-        }
-
         // Every technology runs through the identical protocol.
-        for kind in [BackendKind::Dram, BackendKind::Mlc] {
+        for kind in BackendKind::ALL {
             let backend = Backend::at_p_cell(kind, eval.memory_config(), 1e-3).unwrap();
             let results = eval
                 .quality_cdfs_paired_on(&schemes, &backend, 3, 2, 19, false)
@@ -774,7 +689,6 @@ mod tests {
 
     #[test]
     fn quality_shard_states_merged_in_order_match_the_monolithic_campaign() {
-        use faultmit_memsim::SramVddBackend;
         use faultmit_sim::Accumulator;
         let eval = QualityEvaluator::builder(Benchmark::Elasticnet)
             .samples(96)

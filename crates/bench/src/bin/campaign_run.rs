@@ -114,10 +114,6 @@ fn passthrough_args(
         args.push("--kernel".to_owned());
         args.push(kernel.to_string());
     }
-    if let Some(wide) = options.wide_generation {
-        args.push("--wide-generation".to_owned());
-        args.push(if wide { "on" } else { "off" }.to_owned());
-    }
     if let Some(threshold) = options.auto_threshold {
         args.push("--auto-threshold".to_owned());
         args.push(threshold.to_string());
@@ -151,8 +147,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     \n       [--dir <checkpoint-dir>] [--out <figure-json-path>]\
                     \n       [--backend sram|dram|mlc] [--samples N] [--threads N] [--full]\
                     \n       [--image <spec>] [--kind-law flip|stuck-at|stuck-at:P]\
-                    \n       [--kernel scalar|sparse|bitsliced|bitsliced256|auto]\
-                    \n       [--wide-generation on|off] [--auto-threshold <faults-per-row>]\
+                    \n       [--kernel sparse|bitsliced256|auto] [--auto-threshold <faults-per-row>]\
                     \n       [--metrics <metrics-json-path>]\
                     \nrun 'campaign_run --figure list' for the figure catalogue"
                 .into(),

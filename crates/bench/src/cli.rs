@@ -32,15 +32,13 @@
 //!   `stuck-at:P` with `P = Pr(stuck at 0)`, see
 //!   [`faultmit_memsim::FaultKindLaw`]); honoured by
 //!   `fig8_backend_matrix` and `fig9_data_sensitivity`;
-//! * `--kernel <scalar|sparse|bitsliced|bitsliced256|auto>` — the
-//!   Monte-Carlo evaluation kernel ([`faultmit_sim::KernelKind`]); every
-//!   kernel produces bit-identical campaign state, so this selects
-//!   throughput only (`auto` picks sparse or bitsliced256 from the
-//!   campaign's fault density). Honoured by the MSE catalogue campaigns
-//!   (`fig5_mse_cdf`, `fig8_backend_matrix`, `fig9_data_sensitivity`);
-//! * `--wide-generation <on|off>` — force the lane-interleaved block fault
-//!   generation path on or off (default on; bit-identical either way, a
-//!   generation-throughput knob for the same catalogue campaigns);
+//! * `--kernel <sparse|bitsliced256|auto>` — the Monte-Carlo evaluation
+//!   kernel ([`faultmit_sim::KernelKind`]); every kernel produces
+//!   bit-identical campaign state, so this selects throughput only
+//!   (`auto` picks sparse or bitsliced256 from the campaign's fault
+//!   density). Honoured by the MSE catalogue campaigns (`fig5_mse_cdf`,
+//!   `fig8_backend_matrix`, `fig9_data_sensitivity`). The removed
+//!   `scalar` and `bitsliced` kernels are rejected by name;
 //! * `--auto-threshold <f/row>` — override the `auto` kernel's density
 //!   threshold in expected faults per row (requires `--kernel auto`; see
 //!   [`faultmit_sim::AUTO_FAULTS_PER_ROW_THRESHOLD`]).
@@ -123,22 +121,16 @@ pub struct RunOptions {
     /// of the campaign spec so shard checkpoints record which kernel
     /// produced them.
     pub kernel: Option<KernelKind>,
-    /// Wide-generation toggle selected with `--wide-generation <on|off>`
-    /// (`None` = the engine default, on). An identity-free tuning knob: the
-    /// lane-interleaved generation path is bit-identical to the scalar one,
-    /// so this selects generation throughput only. Only the block kernels
-    /// of the MSE catalogue campaigns generate through it; elsewhere the
-    /// toggle is inert.
-    pub wide_generation: Option<bool>,
     /// Density threshold override for the `auto` kernel in expected faults
     /// per row, `--auto-threshold <f/row>` (`None` = the engine default,
-    /// [`faultmit_sim::AUTO_FAULTS_PER_ROW_THRESHOLD`]). Identity-free like
-    /// [`RunOptions::wide_generation`], but it can flip which kernel `auto`
-    /// resolves to, so shard checkpoints record it and the merge validates
-    /// it across the set. Requires `--kernel auto`.
+    /// [`faultmit_sim::AUTO_FAULTS_PER_ROW_THRESHOLD`]). Identity-free —
+    /// it never changes campaign state — but it can flip which kernel
+    /// `auto` resolves to, so shard checkpoints record it and the merge
+    /// validates it across the set. Requires `--kernel auto`.
     pub auto_threshold: Option<f64>,
     /// Unparseable values seen for the engine-tuning flags
-    /// (`--wide-generation`/`--auto-threshold`). The campaign entry points
+    /// (`--auto-threshold`, and the removed `--wide-generation`). The
+    /// campaign entry points
     /// treat these as fatal: a typo in `--auto-threshold` must not silently
     /// run (and record telemetry for) a different tuning than the one the
     /// user asked for.
@@ -286,21 +278,18 @@ impl RunOptions {
                         .spec_flag_errors
                         .push("--kernel requires a value".to_owned()),
                 },
-                "--wide-generation" => match next_value(&mut iter, "--wide-generation") {
-                    Some(value) => match value.as_str() {
-                        "on" => options.wide_generation = Some(true),
-                        "off" => options.wide_generation = Some(false),
-                        other => {
-                            let message =
-                                format!("invalid --wide-generation value '{other}' (on|off)");
-                            eprintln!("{message}");
-                            options.tuning_flag_errors.push(message);
-                        }
-                    },
-                    None => options
-                        .tuning_flag_errors
-                        .push("--wide-generation requires a value (on|off)".to_owned()),
-                },
+                "--wide-generation" => {
+                    // Consume the old on|off value so it is not taken for a
+                    // positional argument.
+                    if iter.peek().is_some_and(|value| !value.starts_with("--")) {
+                        iter.next();
+                    }
+                    let message = "--wide-generation was removed: block kernels always \
+                                   generate through the wide path"
+                        .to_owned();
+                    eprintln!("{message}");
+                    options.tuning_flag_errors.push(message);
+                }
                 "--auto-threshold" => match next_value(&mut iter, "--auto-threshold") {
                     Some(value) => match value.parse::<f64>() {
                         // The threshold is a fault density (faults per row):
@@ -372,12 +361,11 @@ impl RunOptions {
         self.samples.unwrap_or(default).max(1)
     }
 
-    /// The engine tuning implied by `--wide-generation`/`--auto-threshold`
-    /// (defaults keep the engine defaults).
+    /// The engine tuning implied by `--auto-threshold` (defaults keep the
+    /// engine defaults).
     #[must_use]
     pub fn tuning(&self) -> crate::figures::EngineTuning {
         crate::figures::EngineTuning {
-            wide_generation: self.wide_generation,
             auto_threshold: self.auto_threshold,
         }
     }
@@ -768,10 +756,6 @@ mod tests {
 
     #[test]
     fn parse_recognises_the_kernel_flag() {
-        let opts = RunOptions::parse(["--kernel", "bitsliced"].iter().map(|s| (*s).to_owned()));
-        assert_eq!(opts.kernel, Some(KernelKind::Bitsliced));
-        assert!(opts.spec_flag_errors.is_empty());
-
         let opts = RunOptions::parse(["--kernel", "bitsliced256"].iter().map(|s| (*s).to_owned()));
         assert_eq!(opts.kernel, Some(KernelKind::Bitsliced256));
         assert!(opts.spec_flag_errors.is_empty());
@@ -790,6 +774,18 @@ mod tests {
         assert_eq!(opts.spec_flag_errors.len(), 1);
         assert!(opts.spec_flag_errors[0].contains("vectorised"));
 
+        // The removed kernels fail by name.
+        for removed in ["scalar", "bitsliced"] {
+            let opts = RunOptions::parse(["--kernel".to_owned(), removed.to_owned()]);
+            assert!(opts.kernel.is_none());
+            assert_eq!(opts.spec_flag_errors.len(), 1, "{removed}");
+            assert!(
+                opts.spec_flag_errors[0].contains(&format!("kernel '{removed}' was removed")),
+                "{:?}",
+                opts.spec_flag_errors
+            );
+        }
+
         // A dropped value is recorded too.
         let opts = RunOptions::parse(["--kernel", "--full"].iter().map(|s| (*s).to_owned()));
         assert!(opts.kernel.is_none());
@@ -798,38 +794,39 @@ mod tests {
 
     #[test]
     fn parse_recognises_the_tuning_flags() {
-        let opts = RunOptions::parse(
-            ["--wide-generation", "off", "--auto-threshold", "0.25"]
-                .iter()
-                .map(|s| (*s).to_owned()),
-        );
-        assert_eq!(opts.wide_generation, Some(false));
+        let opts = RunOptions::parse(["--auto-threshold", "0.25"].iter().map(|s| (*s).to_owned()));
         assert_eq!(opts.auto_threshold, Some(0.25));
         assert!(opts.tuning_flag_errors.is_empty());
-        assert_eq!(opts.tuning().wide_generation, Some(false));
         assert_eq!(opts.tuning().auto_threshold, Some(0.25));
 
-        let opts = RunOptions::parse(["--wide-generation", "on"].iter().map(|s| (*s).to_owned()));
-        assert_eq!(opts.wide_generation, Some(true));
-
         let opts = RunOptions::parse(std::iter::empty());
-        assert!(opts.wide_generation.is_none());
         assert!(opts.auto_threshold.is_none());
         assert_eq!(opts.tuning(), crate::figures::EngineTuning::default());
+
+        // The removed --wide-generation flag fails with a message saying
+        // so, and its old value is not taken for a positional argument.
+        for args in [
+            &["--wide-generation", "off"][..],
+            &["--wide-generation", "on"][..],
+            &["--wide-generation"][..],
+        ] {
+            let opts = RunOptions::parse(args.iter().map(|s| (*s).to_owned()));
+            assert_eq!(opts.tuning_flag_errors.len(), 1, "{args:?}");
+            assert!(
+                opts.tuning_flag_errors[0].contains("--wide-generation was removed"),
+                "{:?}",
+                opts.tuning_flag_errors
+            );
+            assert!(opts.positional.is_empty(), "{args:?}");
+        }
 
         // Typos and out-of-domain thresholds are consumed and recorded as
         // fatal: a bad tuning flag must not silently run (and record
         // telemetry for) a different tuning than the one asked for.
-        let opts = RunOptions::parse(
-            ["--wide-generation", "wide", "--auto-threshold", "-1"]
-                .iter()
-                .map(|s| (*s).to_owned()),
-        );
-        assert!(opts.wide_generation.is_none());
+        let opts = RunOptions::parse(["--auto-threshold", "-1"].iter().map(|s| (*s).to_owned()));
         assert!(opts.auto_threshold.is_none());
-        assert_eq!(opts.tuning_flag_errors.len(), 2);
-        assert!(opts.tuning_flag_errors[0].contains("wide"));
-        assert!(opts.tuning_flag_errors[1].contains("-1"));
+        assert_eq!(opts.tuning_flag_errors.len(), 1);
+        assert!(opts.tuning_flag_errors[0].contains("-1"));
         for bad in ["nan", "inf", "0"] {
             let opts = RunOptions::parse(["--auto-threshold".to_owned(), bad.to_owned()]);
             assert!(opts.auto_threshold.is_none(), "{bad} must be rejected");

@@ -3,7 +3,8 @@
 //! deterministic die population).
 
 use super::{
-    single_panel, take_table, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    single_panel, take_table, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState,
+    RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -107,16 +108,17 @@ impl FigureDef for AblationLutDef {
         Some(1024)
     }
 
-    fn run_shard(
+    fn run_shard_tuned(
         &self,
         _spec: &FigureSpec,
+        _tuning: EngineTuning,
         _parallelism: Parallelism,
         _shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
+    ) -> Result<ShardRun, FigureError> {
         let model = OverheadModel::paper_16kb();
-        Ok(vec![PanelState::Table {
+        Ok(ShardRun::untimed(vec![PanelState::Table {
             rows: compute_series(&model).to_json(),
-        }])
+        }]))
     }
 
     fn render(

@@ -1,7 +1,10 @@
 //! Ablation — FM-LUT shift-selection policy for rows with multiple faults,
 //! as a paired campaign over raw record streams.
 
-use super::{take_records, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure};
+use super::{
+    take_records, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    ShardRun,
+};
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::memory_mse;
@@ -11,7 +14,7 @@ use faultmit_core::{
 };
 use faultmit_memsim::{corrupt_word, Backend, FaultMap, MemoryConfig};
 use faultmit_sim::{
-    Campaign, CampaignConfig, CollectRecords, PairedSample, Parallelism, ShardSpec,
+    per_die, Campaign, CampaignConfig, CollectRecords, PairedSample, Parallelism, ShardSpec,
 };
 use std::fmt::Write as _;
 
@@ -165,12 +168,13 @@ impl FigureDef for AblationShiftDef {
         Some(memory_rows(spec) as u64)
     }
 
-    fn run_shard(
+    fn run_shard_tuned(
         &self,
         spec: &FigureSpec,
+        _tuning: EngineTuning,
         parallelism: Parallelism,
         shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
+    ) -> Result<ShardRun, FigureError> {
         sweep_points(spec)
             .into_iter()
             .map(|(n_fm, faults_per_map)| {
@@ -180,11 +184,11 @@ impl FigureDef for AblationShiftDef {
                 let optimal = Scheme::BitShuffle(geometry);
                 let schemes: [&(dyn MitigationScheme + Sync); 2] = [&naive, &optimal];
                 let campaign = point_campaign(spec, parallelism, faults_per_map)?;
-                let collected = campaign.run_shard(
+                let (collected, _) = campaign.execute(
                     &schemes,
                     ABLATION_SHIFT_SEED,
                     shard,
-                    memory_mse,
+                    per_die(memory_mse),
                     CollectRecords::new,
                 )?;
                 Ok(PanelState::Records {
@@ -192,7 +196,8 @@ impl FigureDef for AblationShiftDef {
                     records: collected.records,
                 })
             })
-            .collect()
+            .collect::<Result<_, FigureError>>()
+            .map(ShardRun::untimed)
     }
 
     fn render(

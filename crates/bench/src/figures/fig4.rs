@@ -2,7 +2,8 @@
 //! FM-LUT width (deterministic; no Monte-Carlo content).
 
 use super::{
-    single_panel, take_table, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    single_panel, take_table, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState,
+    RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -82,17 +83,18 @@ impl FigureDef for Fig4Def {
         vec!["fig4".to_owned()]
     }
 
-    fn run_shard(
+    fn run_shard_tuned(
         &self,
         _spec: &FigureSpec,
+        _tuning: EngineTuning,
         _parallelism: Parallelism,
         _shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
+    ) -> Result<ShardRun, FigureError> {
         // Deterministic figures are recomputed by every shard; the merge
         // validates the copies agree.
-        Ok(vec![PanelState::Table {
+        Ok(ShardRun::untimed(vec![PanelState::Table {
             rows: compute_series()?.to_json(),
-        }])
+        }]))
     }
 
     fn render(

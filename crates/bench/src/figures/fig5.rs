@@ -13,7 +13,7 @@ use faultmit_analysis::{
 };
 use faultmit_core::{MitigationScheme, Scheme};
 use faultmit_memsim::{Backend, FaultBackend, MemoryConfig};
-use faultmit_sim::{Parallelism, ShardSpec};
+use faultmit_sim::{Parallelism, ShardSpec, ShardStats};
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the Fig. 5 protocol.
@@ -65,8 +65,7 @@ impl Fig5Campaign {
             .with_max_failures(max_failures)
             .with_parallelism(parallelism)
             .with_kernel(spec.kernel_kind())
-            .with_auto_threshold(tuning.auto_threshold)
-            .with_wide_generation(tuning.wide_generation.unwrap_or(true));
+            .with_auto_threshold(tuning.auto_threshold);
         Ok(Self {
             engine: MonteCarloEngine::new(config),
             schemes: Scheme::fig5_catalogue(),
@@ -75,30 +74,19 @@ impl Fig5Campaign {
         })
     }
 
-    /// Runs one shard, returning the raw accumulator state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates campaign errors.
-    pub fn run_shard(&self, shard: ShardSpec) -> Result<CatalogueAccumulator, FigureError> {
-        Ok(self
-            .engine
-            .run_catalogue_shard(&self.schemes, self.seed, shard)?)
-    }
-
-    /// Runs one shard, returning the accumulator state plus the run's
+    /// Runs one shard, returning the raw accumulator state plus the run's
     /// generation-time telemetry.
     ///
     /// # Errors
     ///
     /// Propagates campaign errors.
-    pub fn run_shard_stats(
+    pub fn run_shard(
         &self,
         shard: ShardSpec,
-    ) -> Result<(CatalogueAccumulator, faultmit_sim::ShardStats), FigureError> {
+    ) -> Result<(CatalogueAccumulator, ShardStats), FigureError> {
         Ok(self
             .engine
-            .run_catalogue_shard_stats(&self.schemes, self.seed, shard)?)
+            .run_catalogue_shard(&self.schemes, self.seed, shard, None)?)
     }
 
     /// Reduces (possibly shard-merged) state to per-scheme results.
@@ -198,24 +186,9 @@ impl FigureDef for Fig5Def {
         Some(MemoryConfig::paper_16kb().rows() as u64)
     }
 
-    fn resolved_kernel(&self, spec: &FigureSpec) -> Option<String> {
-        self.resolved_kernel_tuned(spec, EngineTuning::default())
-    }
-
     fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
         let campaign = Fig5Campaign::from_spec_tuned(spec, tuning, Parallelism::Serial).ok()?;
         super::kernel_telemetry(spec.kernel, campaign.engine.config().resolved_kernel().ok())
-    }
-
-    fn run_shard(
-        &self,
-        spec: &FigureSpec,
-        parallelism: Parallelism,
-        shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
-        Ok(self
-            .run_shard_tuned(spec, EngineTuning::default(), parallelism, shard)?
-            .panels)
     }
 
     fn run_shard_tuned(
@@ -226,7 +199,7 @@ impl FigureDef for Fig5Def {
         shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {
         let campaign = Fig5Campaign::from_spec_tuned(spec, tuning, parallelism)?;
-        let (accumulator, stats) = campaign.run_shard_stats(shard)?;
+        let (accumulator, stats) = campaign.run_shard(shard)?;
         Ok(ShardRun {
             panels: vec![PanelState::Catalogue {
                 scheme_names: campaign

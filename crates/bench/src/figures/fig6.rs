@@ -2,7 +2,8 @@
 //! H(39,32) SECDED baseline (deterministic analytical 28 nm cost model).
 
 use super::{
-    single_panel, take_table, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    single_panel, take_table, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState,
+    RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -85,16 +86,17 @@ impl FigureDef for Fig6Def {
         vec!["fig6".to_owned()]
     }
 
-    fn run_shard(
+    fn run_shard_tuned(
         &self,
         _spec: &FigureSpec,
+        _tuning: EngineTuning,
         _parallelism: Parallelism,
         _shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
+    ) -> Result<ShardRun, FigureError> {
         let model = OverheadModel::paper_16kb();
-        Ok(vec![PanelState::Table {
+        Ok(ShardRun::untimed(vec![PanelState::Table {
             rows: compute_entries(&model).to_json(),
-        }])
+        }]))
     }
 
     fn render(

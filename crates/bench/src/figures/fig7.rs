@@ -2,8 +2,8 @@
 //! benchmarks under memory failures.
 
 use super::{
-    selected_benchmarks, take_catalogue, FigureDef, FigureError, FigureSpec, PanelState,
-    RenderedFigure,
+    selected_benchmarks, take_catalogue, EngineTuning, FigureDef, FigureError, FigureSpec,
+    PanelState, RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -223,26 +223,29 @@ impl FigureDef for Fig7Def {
         Some(if spec.full_scale { 4096 } else { 512 })
     }
 
-    fn run_shard(
+    fn run_shard_tuned(
         &self,
         spec: &FigureSpec,
+        _tuning: EngineTuning,
         parallelism: Parallelism,
         shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
+    ) -> Result<ShardRun, FigureError> {
         let campaign = Fig7Campaign::from_spec(spec, parallelism)?;
         let scheme_names: Vec<String> = campaign
             .schemes
             .iter()
             .map(MitigationScheme::name)
             .collect();
-        Ok(campaign
-            .run_shard(shard)?
-            .into_iter()
-            .map(|accumulator| PanelState::Catalogue {
-                scheme_names: scheme_names.clone(),
-                accumulator,
-            })
-            .collect())
+        Ok(ShardRun::untimed(
+            campaign
+                .run_shard(shard)?
+                .into_iter()
+                .map(|accumulator| PanelState::Catalogue {
+                    scheme_names: scheme_names.clone(),
+                    accumulator,
+                })
+                .collect(),
+        ))
     }
 
     fn render(

@@ -119,8 +119,7 @@ fn panel_engines(
                     .with_max_failures(max_failures)
                     .with_parallelism(parallelism)
                     .with_kernel(spec.kernel_kind())
-                    .with_auto_threshold(tuning.auto_threshold)
-                    .with_wide_generation(tuning.wide_generation.unwrap_or(true)),
+                    .with_auto_threshold(tuning.auto_threshold),
             );
             engines.push((kind, engine));
         }
@@ -172,10 +171,6 @@ impl FigureDef for Fig8Def {
         Some(MemoryConfig::paper_16kb().rows() as u64)
     }
 
-    fn resolved_kernel(&self, spec: &FigureSpec) -> Option<String> {
-        self.resolved_kernel_tuned(spec, EngineTuning::default())
-    }
-
     fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
         // Each operating point of the matrix resolves `auto` at its own
         // density; the telemetry joins the distinct choices.
@@ -186,17 +181,6 @@ impl FigureDef for Fig8Def {
                 .iter()
                 .filter_map(|(_, engine)| engine.config().resolved_kernel().ok()),
         )
-    }
-
-    fn run_shard(
-        &self,
-        spec: &FigureSpec,
-        parallelism: Parallelism,
-        shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
-        Ok(self
-            .run_shard_tuned(spec, EngineTuning::default(), parallelism, shard)?
-            .panels)
     }
 
     fn run_shard_tuned(
@@ -213,7 +197,7 @@ impl FigureDef for Fig8Def {
             .into_iter()
             .map(|(_, engine)| {
                 let (accumulator, stats) =
-                    engine.run_catalogue_shard_stats(&schemes, FIG8_SEED, shard)?;
+                    engine.run_catalogue_shard(&schemes, FIG8_SEED, shard, None)?;
                 generation_seconds += stats.generation_seconds;
                 Ok(PanelState::Catalogue {
                     scheme_names: scheme_names.clone(),
@@ -348,8 +332,14 @@ mod tests {
         // silent: every scheme's mean MSE collapses to zero, unlike the
         // default flip law.
         let panels = figure
-            .run_shard(&spec, Parallelism::Serial, ShardSpec::solo())
-            .unwrap();
+            .run_shard_tuned(
+                &spec,
+                EngineTuning::default(),
+                Parallelism::Serial,
+                ShardSpec::solo(),
+            )
+            .unwrap()
+            .panels;
         let rendered = figure.render(&spec, Parallelism::Serial, panels).unwrap();
         assert!(rendered.report.contains("fault-kind law: stuck-at:1"));
         for row in rendered.document.as_array().unwrap() {

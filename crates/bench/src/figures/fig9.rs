@@ -25,7 +25,7 @@ use faultmit_analysis::{
 use faultmit_core::{MitigationScheme, Scheme};
 use faultmit_memsim::image::{AppImage, ImageSpec};
 use faultmit_memsim::{Backend, BackendKind, FaultBackend, FaultKindLaw, MemoryConfig};
-use faultmit_sim::{Parallelism, ShardSpec};
+use faultmit_sim::{Parallelism, ShardSpec, ShardStats};
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the Fig. 9 protocol.
@@ -178,8 +178,7 @@ impl Fig9Campaign {
                             .with_parallelism(parallelism)
                             .with_image(image)
                             .with_kernel(spec.kernel_kind())
-                            .with_auto_threshold(tuning.auto_threshold)
-                            .with_wide_generation(tuning.wide_generation.unwrap_or(true)),
+                            .with_auto_threshold(tuning.auto_threshold),
                     );
                     cells.push(Fig9Campaign {
                         kind,
@@ -201,7 +200,8 @@ impl Fig9Campaign {
 
     /// Runs one shard of the cell's data-aware campaign against the cell's
     /// materialised image (`None` = the all-zeros fast path; see
-    /// [`fig9_image_words`]).
+    /// [`fig9_image_words`]), returning the accumulator state plus the
+    /// run's generation-time telemetry.
     ///
     /// # Errors
     ///
@@ -210,29 +210,10 @@ impl Fig9Campaign {
         &self,
         shard: ShardSpec,
         data: Option<&[u64]>,
-    ) -> Result<CatalogueAccumulator, FigureError> {
+    ) -> Result<(CatalogueAccumulator, ShardStats), FigureError> {
         Ok(self
             .engine
-            .run_catalogue_shard_on_image(&spec_schemes(), FIG9_SEED, shard, data)?)
-    }
-
-    /// [`Fig9Campaign::run_shard`] returning the run's generation-time
-    /// telemetry alongside the accumulator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates campaign errors.
-    pub fn run_shard_stats(
-        &self,
-        shard: ShardSpec,
-        data: Option<&[u64]>,
-    ) -> Result<(CatalogueAccumulator, faultmit_sim::ShardStats), FigureError> {
-        Ok(self.engine.run_catalogue_shard_on_image_stats(
-            &spec_schemes(),
-            FIG9_SEED,
-            shard,
-            data,
-        )?)
+            .run_catalogue_shard(&spec_schemes(), FIG9_SEED, shard, data)?)
     }
 
     /// Reduces (possibly shard-merged) state to per-scheme results.
@@ -328,10 +309,6 @@ impl FigureDef for Fig9Def {
         Some(MemoryConfig::paper_16kb().rows() as u64)
     }
 
-    fn resolved_kernel(&self, spec: &FigureSpec) -> Option<String> {
-        self.resolved_kernel_tuned(spec, EngineTuning::default())
-    }
-
     fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
         // Every cell of the matrix resolves `auto` at its own density; the
         // telemetry joins the distinct choices.
@@ -342,17 +319,6 @@ impl FigureDef for Fig9Def {
                 .iter()
                 .filter_map(|cell| cell.engine.config().resolved_kernel().ok()),
         )
-    }
-
-    fn run_shard(
-        &self,
-        spec: &FigureSpec,
-        parallelism: Parallelism,
-        shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
-        Ok(self
-            .run_shard_tuned(spec, EngineTuning::default(), parallelism, shard)?
-            .panels)
     }
 
     fn run_shard_tuned(
@@ -377,7 +343,7 @@ impl FigureDef for Fig9Def {
                     .iter()
                     .find(|(image, _)| *image == cell.image)
                     .and_then(|(_, words)| words.as_deref());
-                let (accumulator, stats) = cell.run_shard_stats(shard, data)?;
+                let (accumulator, stats) = cell.run_shard(shard, data)?;
                 generation_seconds += stats.generation_seconds;
                 Ok(PanelState::Catalogue {
                     scheme_names: scheme_names.clone(),
@@ -557,8 +523,14 @@ mod tests {
         ]);
         let spec = figure.spec(&options);
         let panels = figure
-            .run_shard(&spec, Parallelism::Serial, ShardSpec::solo())
-            .unwrap();
+            .run_shard_tuned(
+                &spec,
+                EngineTuning::default(),
+                Parallelism::Serial,
+                ShardSpec::solo(),
+            )
+            .unwrap()
+            .panels;
         let rendered = figure.render(&spec, Parallelism::Serial, panels).unwrap();
 
         let mean_for = |image: &str, scheme: &str| -> f64 {
@@ -592,8 +564,14 @@ mod tests {
         let options = small_options(&["--backend", "dram", "--kind-law", "flip", "--samples", "2"]);
         let spec = figure.spec(&options);
         let panels = figure
-            .run_shard(&spec, Parallelism::Serial, ShardSpec::solo())
-            .unwrap();
+            .run_shard_tuned(
+                &spec,
+                EngineTuning::default(),
+                Parallelism::Serial,
+                ShardSpec::solo(),
+            )
+            .unwrap()
+            .panels;
         let rendered = figure.render(&spec, Parallelism::Serial, panels).unwrap();
         let rows = rendered.document.as_array().unwrap();
         let mean = |image: &str| -> Vec<f64> {

@@ -261,12 +261,17 @@ impl FigureSpec {
         };
         let kernel = match value.get("kernel") {
             None | Some(JsonValue::Null) => None,
-            Some(node) => Some(
-                node.as_str()
-                    .ok_or("spec 'kernel' must be a string or null")?
-                    .parse::<KernelKind>()
-                    .map_err(|e| e.to_string())?,
-            ),
+            Some(node) => {
+                let name = node
+                    .as_str()
+                    .ok_or("spec 'kernel' must be a string or null")?;
+                if KernelKind::REMOVED.contains(&name) {
+                    return Err(format!(
+                        "kernel '{name}' was removed; recompute this checkpoint"
+                    ));
+                }
+                Some(name.parse::<KernelKind>().map_err(|e| e.to_string())?)
+            }
         };
         Ok(Self {
             figure,
@@ -288,11 +293,6 @@ impl FigureSpec {
 /// byte-identical documents.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineTuning {
-    /// Forces the lane-interleaved block generation path on or off
-    /// (`--wide-generation`); `None` keeps the engine default (on). Only
-    /// block kernels generate through it, and only for backends that opt
-    /// in — elsewhere the toggle is inert.
-    pub wide_generation: Option<bool>,
     /// Overrides the `auto` kernel's density threshold in expected faults
     /// per row (`--auto-threshold`); `None` keeps
     /// [`faultmit_sim::AUTO_FAULTS_PER_ROW_THRESHOLD`].
@@ -306,9 +306,20 @@ pub struct ShardRun {
     /// One state per campaign panel, in panel order.
     pub panels: Vec<PanelState>,
     /// Seconds the shard spent generating dies, summed across panels and
-    /// worker threads — `None` for figures whose engines do not time
-    /// generation (deterministic tables, figures without the stats hook).
+    /// worker threads — `None` for figures that do not report it
+    /// (deterministic tables, the Fig. 7 quality campaign).
     pub generation_seconds: Option<f64>,
+}
+
+impl ShardRun {
+    /// A run of figures that report no generation time.
+    #[must_use]
+    pub fn untimed(panels: Vec<PanelState>) -> Self {
+        Self {
+            panels,
+            generation_seconds: None,
+        }
+    }
 }
 
 /// The accumulated state of one campaign panel inside a shard — the three
@@ -537,61 +548,33 @@ pub trait FigureDef: Sync {
     }
 
     /// The kernel telemetry a shard checkpoint of this figure records
-    /// under `spec` — the kernel that actually executes. The default
-    /// reports the spec's kernel name verbatim; the MSE catalogue figures
-    /// override it so `--kernel auto` records the density-resolved choice
-    /// (`"auto:sparse"` / `"auto:bitsliced256"`), letting merges verify
-    /// every shard resolved identically.
-    fn resolved_kernel(&self, spec: &FigureSpec) -> Option<String> {
+    /// under `spec` and `tuning` — the kernel that actually executes. The
+    /// default reports the spec's kernel name verbatim; the MSE catalogue
+    /// figures override it so `--kernel auto` records the density-resolved
+    /// choice (`"auto:sparse"` / `"auto:bitsliced256"`, which an
+    /// `--auto-threshold` override can flip), letting merges verify every
+    /// shard resolved identically.
+    fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
+        let _ = tuning;
         spec.kernel.map(|kernel| kernel.as_str().to_owned())
     }
 
-    /// Evaluates one shard of every panel, in panel order.
+    /// Evaluates one shard of every panel, in panel order, with
+    /// [`EngineTuning`] applied and run telemetry surfaced. Tuning never
+    /// changes panel states: for any tuning, the returned panels are
+    /// bit-identical.
     ///
     /// # Errors
     ///
     /// Propagates backend-calibration, evaluator-construction and campaign
     /// errors.
-    fn run_shard(
-        &self,
-        spec: &FigureSpec,
-        parallelism: Parallelism,
-        shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError>;
-
-    /// [`FigureDef::run_shard`] with [`EngineTuning`] applied and run
-    /// telemetry surfaced. The default ignores the tuning and reports no
-    /// generation time — correct for figures without campaign engines; the
-    /// MSE catalogue figures override it. Tuning never changes panel
-    /// states: for any tuning, the returned panels are bit-identical to
-    /// [`FigureDef::run_shard`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`FigureDef::run_shard`].
     fn run_shard_tuned(
         &self,
         spec: &FigureSpec,
         tuning: EngineTuning,
         parallelism: Parallelism,
         shard: ShardSpec,
-    ) -> Result<ShardRun, FigureError> {
-        let _ = tuning;
-        Ok(ShardRun {
-            panels: self.run_shard(spec, parallelism, shard)?,
-            generation_seconds: None,
-        })
-    }
-
-    /// [`FigureDef::resolved_kernel`] under [`EngineTuning`] — the
-    /// telemetry must reflect an `--auto-threshold` override, since the
-    /// override can flip which kernel `auto` resolves to. The default
-    /// ignores the tuning (correct for figures whose telemetry never says
-    /// `auto:`); the MSE catalogue figures override it.
-    fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
-        let _ = tuning;
-        self.resolved_kernel(spec)
-    }
+    ) -> Result<ShardRun, FigureError>;
 
     /// Renders merged panel states into the figure's document and report.
     ///
@@ -712,8 +695,6 @@ pub fn check_identity_flags(spec: &FigureSpec, options: &RunOptions) -> Result<(
 /// Rejects an inconsistent engine-tuning request: `--auto-threshold`
 /// re-tunes the `auto` kernel's density resolution, so it is meaningless —
 /// and silently inert — under any other `--kernel` choice.
-/// (`--wide-generation` needs no such check: it is accepted everywhere and
-/// simply inert for campaigns without block-kernel generation.)
 ///
 /// # Errors
 ///
@@ -872,7 +853,8 @@ mod tests {
                 .iter()
                 .map(|s| (*s).to_owned()),
         );
-        let kernel = RunOptions::parse(["--kernel", "bitsliced"].iter().map(|s| (*s).to_owned()));
+        let kernel =
+            RunOptions::parse(["--kernel", "bitsliced256"].iter().map(|s| (*s).to_owned()));
         for figure in registry() {
             let supports_image = figure.name() == "fig9";
             let supports_law = matches!(figure.name(), "fig8" | "fig9");

@@ -3,7 +3,8 @@
 //! the sample budget).
 
 use super::{
-    single_panel, take_table, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    single_panel, take_table, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState,
+    RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -94,15 +95,16 @@ impl FigureDef for Table1Def {
         vec!["table1".to_owned()]
     }
 
-    fn run_shard(
+    fn run_shard_tuned(
         &self,
         spec: &FigureSpec,
+        _tuning: EngineTuning,
         _parallelism: Parallelism,
         _shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
-        Ok(vec![PanelState::Table {
+    ) -> Result<ShardRun, FigureError> {
+        Ok(ShardRun::untimed(vec![PanelState::Table {
             rows: compute_rows(spec)?.to_json(),
-        }])
+        }]))
     }
 
     fn render(

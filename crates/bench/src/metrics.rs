@@ -145,9 +145,8 @@ pub fn snapshot_from_json(value: &JsonValue) -> Result<MetricsSnapshot, String> 
 ///
 /// Before the v3 shard format these lived as four ad-hoc top-level
 /// checkpoint fields (`elapsed_seconds`, `kernel`, `generation_seconds`,
-/// `auto_threshold`); they are now one section with one accessor path, and
-/// the v2 loader folds the legacy fields into it so old checkpoints keep
-/// loading. Everything here is **identity-free** telemetry: it never feeds
+/// `auto_threshold`); they are now one section with one accessor path.
+/// Everything here is **identity-free** telemetry: it never feeds
 /// back into panel states, so figure JSON is byte-identical whether or not
 /// metrics were recorded.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -168,7 +167,7 @@ pub struct ShardMetrics {
     pub auto_threshold: Option<f64>,
     /// The observability snapshot the run recorded, when a recorder was
     /// installed (see [`faultmit_obs::install`]); `None` for runs without
-    /// instrumentation and for legacy checkpoints.
+    /// instrumentation.
     pub snapshot: Option<MetricsSnapshot>,
 }
 

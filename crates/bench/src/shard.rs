@@ -9,7 +9,7 @@
 //! Because
 //!
 //! 1. chunk boundaries and per-sample RNG streams derive from the global
-//!    plan (see [`faultmit_sim::Campaign::try_run_shard`]),
+//!    plan (see [`faultmit_sim::Campaign::execute`]),
 //! 2. catalogue state stores each [`CdfSketch`]'s raw `(value, weight)`
 //!    observation list in insertion order and re-accumulates it on read
 //!    ([`CdfSketch::from_observations`]), record state stores the raw
@@ -44,13 +44,9 @@ use std::path::Path;
 /// panel-state union (catalogue / records / table); `v3` folded the four
 /// ad-hoc telemetry fields (`elapsed_seconds`, `kernel`,
 /// `generation_seconds`, `auto_threshold`) into one `metrics` section that
-/// also carries the observability snapshot. `v2` files still load — see
-/// [`ShardState::from_json`].
+/// also carries the observability snapshot. Only `v3` is read: a
+/// checkpoint is a cache, so an older file is recomputed, not migrated.
 pub const SHARD_STATE_FORMAT: &str = "faultmit-shard-state/v3";
-
-/// The previous format tag, still accepted by the loader: its top-level
-/// telemetry fields are folded into [`ShardState::metrics`] on read.
-pub const SHARD_STATE_FORMAT_V2: &str = "faultmit-shard-state/v2";
 
 /// Error reading or merging shard state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,11 +184,14 @@ impl ShardState {
             .get("format")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| ShardStateError::new("missing 'format' tag"))?;
-        let legacy_v2 = format == SHARD_STATE_FORMAT_V2;
-        if format != SHARD_STATE_FORMAT && !legacy_v2 {
+        if format == "faultmit-shard-state/v2" {
+            return Err(ShardStateError::new(
+                "checkpoint format v2 is no longer read; delete it to recompute",
+            ));
+        }
+        if format != SHARD_STATE_FORMAT {
             return Err(ShardStateError::new(format!(
-                "unsupported shard-state format '{format}', expected '{SHARD_STATE_FORMAT}' \
-                 (or the legacy '{SHARD_STATE_FORMAT_V2}')"
+                "unsupported shard-state format '{format}', expected '{SHARD_STATE_FORMAT}'"
             )));
         }
         let spec = document
@@ -209,29 +208,11 @@ impl ShardState {
             .ok_or_else(|| ShardStateError::new("missing 'shard_count'"))?;
         let shard = ShardSpec::new(shard_index as usize, shard_count as usize)
             .map_err(|e| ShardStateError::new(e.to_string()))?;
-        // Telemetry is optional: files from before it existed simply carry
-        // none. v2 checkpoints spread the fields over the document's top
-        // level; v3 folds them into the `metrics` section — either way they
-        // land in the same [`ShardMetrics`], so there is exactly one
-        // accessor path whatever produced the file.
-        let metrics = if legacy_v2 {
-            ShardMetrics {
-                elapsed_seconds: document.get("elapsed_seconds").and_then(JsonValue::as_f64),
-                kernel: document
-                    .get("kernel")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_owned),
-                generation_seconds: document
-                    .get("generation_seconds")
-                    .and_then(JsonValue::as_f64),
-                auto_threshold: document.get("auto_threshold").and_then(JsonValue::as_f64),
-                snapshot: None,
-            }
-        } else {
-            match document.get("metrics") {
-                None => ShardMetrics::default(),
-                Some(section) => ShardMetrics::from_json(section).map_err(ShardStateError::new)?,
-            }
+        // Telemetry is optional: a file without a `metrics` section simply
+        // carries none.
+        let metrics = match document.get("metrics") {
+            None => ShardMetrics::default(),
+            Some(section) => ShardMetrics::from_json(section).map_err(ShardStateError::new)?,
         };
         let panels = document
             .get("panels")
@@ -1022,7 +1003,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_checkpoints_with_top_level_telemetry_still_parse() {
+    fn v2_checkpoints_are_rejected_with_a_recompute_message() {
         // A literal v2 document, exactly as `campaign_shard` wrote it before
         // the `metrics` section existed: telemetry lives at the top level.
         let mut document = shard_with(1, 3, &[7.5]).to_json();
@@ -1032,23 +1013,43 @@ mod tests {
         fields.retain(|(key, _)| key != "metrics");
         for (key, value) in fields.iter_mut() {
             if key == "format" {
-                *value = JsonValue::String(SHARD_STATE_FORMAT_V2.to_owned());
+                *value = JsonValue::String("faultmit-shard-state/v2".to_owned());
             }
         }
         fields.push(("elapsed_seconds".to_owned(), JsonValue::Number(1.25)));
         fields.push(("kernel".to_owned(), JsonValue::String("sparse".to_owned())));
-        fields.push(("generation_seconds".to_owned(), JsonValue::Number(0.625)));
-        fields.push(("auto_threshold".to_owned(), JsonValue::Number(0.0625)));
 
-        let migrated = ShardState::from_json(&document).unwrap();
-        assert_eq!(migrated.elapsed_seconds(), Some(1.25));
-        assert_eq!(migrated.kernel(), Some("sparse"));
-        assert_eq!(migrated.generation_seconds(), Some(0.625));
-        assert_eq!(migrated.auto_threshold(), Some(0.0625));
-        assert!(migrated.metrics.snapshot.is_none());
-        // The migrated state re-serialises as v3 with a `metrics` section.
-        let round = ShardState::parse(&migrated.to_json().to_pretty_string()).unwrap();
-        assert_eq!(round, migrated);
+        let error = ShardState::from_json(&document).unwrap_err();
+        assert_eq!(
+            error.reason,
+            "checkpoint format v2 is no longer read; delete it to recompute"
+        );
+    }
+
+    #[test]
+    fn checkpoints_naming_a_removed_kernel_ask_for_a_recompute() {
+        for removed in ["scalar", "bitsliced"] {
+            let mut document = shard_with(0, 2, &[1.0]).to_json();
+            let JsonValue::Object(fields) = &mut document else {
+                panic!("shard state serialises as an object");
+            };
+            for (key, value) in fields.iter_mut() {
+                if key == "spec" {
+                    let JsonValue::Object(spec) = value else {
+                        panic!("the spec serialises as an object");
+                    };
+                    spec.retain(|(field, _)| field != "kernel");
+                    spec.push(("kernel".to_owned(), JsonValue::String(removed.to_owned())));
+                }
+            }
+            let error = ShardState::from_json(&document).unwrap_err();
+            assert!(
+                error.reason.contains(&format!(
+                    "kernel '{removed}' was removed; recompute this checkpoint"
+                )),
+                "{error}"
+            );
+        }
     }
 
     #[test]

@@ -269,3 +269,38 @@ fn merge_rejects_mismatched_or_incomplete_shard_sets() {
         .unwrap();
     assert!(!status.status.success());
 }
+
+/// A v3 checkpoint written before the `scalar` and 64-die `bitsliced`
+/// kernels were removed: its metrics snapshot still carries the
+/// `dispatch_scalar` and `dispatch_bitsliced` counters. It must keep
+/// loading — the snapshot reader takes only the counters it knows — and its
+/// panel state must still equal a fresh evaluation of the same shard.
+#[test]
+fn v3_checkpoints_with_removed_dispatch_counters_still_load() {
+    use faultmit_bench::figures::{find_figure, EngineTuning};
+    use faultmit_obs::Counter;
+    let text = read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/fig5-sparse-v3-0of8.json"
+    ));
+    assert!(text.contains("\"dispatch_scalar\"") && text.contains("\"dispatch_bitsliced\""));
+    let state = faultmit_bench::shard::ShardState::parse(&text).unwrap();
+    assert_eq!(state.kernel(), Some("sparse"));
+    let snapshot = state.metrics.snapshot.as_ref().unwrap();
+    assert_eq!(snapshot.counter(Counter::DispatchSparse), 1);
+    // Shard 0/8 of this 24-sample campaign owns no chunk: its panel is the
+    // empty catalogue state.
+    assert_eq!(snapshot.counter(Counter::SamplesEvaluated), 0);
+
+    let run = find_figure("fig5")
+        .unwrap()
+        .run_shard_tuned(
+            &state.spec,
+            EngineTuning::default(),
+            faultmit_sim::Parallelism::Serial,
+            state.shard,
+        )
+        .unwrap();
+    let panels: Vec<_> = state.panels.into_iter().map(|panel| panel.state).collect();
+    assert_eq!(panels, run.panels);
+}

@@ -535,6 +535,43 @@ mod tests {
     }
 
     #[test]
+    fn die_scratch_matches_the_die_batch_oracle_die_by_die() {
+        // `DieBatch` allocates every map afresh and is the oracle the
+        // campaign's warm per-worker arena must reproduce: one scratch
+        // walks a whole plan in order, as a campaign worker does.
+        use crate::seeder::{DieBatch, PlannedSample, StreamSeeder};
+        let seeder = StreamSeeder::new(0xBA7C);
+        let plan: Vec<PlannedSample> = (0..40u64)
+            .map(|index| PlannedSample {
+                index,
+                n_faults: 1 + (index * 7) % 30,
+            })
+            .collect();
+        for kind in BackendKind::ALL {
+            for law in [
+                FaultKindLaw::AlwaysFlip,
+                FaultKindLaw::AsymmetricStuckAt {
+                    p_stuck_at_zero: 0.35,
+                },
+            ] {
+                let backend = Backend::at_p_cell(kind, config(), 2e-3)
+                    .unwrap()
+                    .with_kind_law(law)
+                    .unwrap();
+                let batch = DieBatch::generate_with_backend(&backend, &seeder, &plan).unwrap();
+                let mut scratch = DieScratch::new(config());
+                for (planned, expected) in batch.iter() {
+                    let mut rng = seeder.rng_for_sample(planned.index);
+                    let map = scratch
+                        .generate(&backend, &mut rng, planned.n_faults as usize)
+                        .unwrap();
+                    assert_eq!(map, expected, "{kind} {law:?} sample {}", planned.index);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn single_fault_per_row_redraw_matches_the_seeder_protocol() {
         use crate::seeder::{DieBatch, PlannedSample, StreamSeeder};
         let backend = Backend::at_p_cell(BackendKind::Sram, config(), 1e-3).unwrap();

@@ -26,12 +26,13 @@ use crate::error::{RunError, SimError};
 use crate::executor::{run_chunked_with, Parallelism};
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{
-    BlockScratch, DieBatch, DieBlock, DieScratch, FailureCountDistribution, FaultBackend, FaultMap,
-    ImageSpec, Lane, MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder,
+    BlockScratch, DieBlock, FailureCountDistribution, FaultBackend, FaultMap, ImageSpec, Lane,
+    MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder,
 };
 use faultmit_obs as obs;
 use std::convert::Infallible;
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,13 +171,9 @@ pub enum MapPolicy {
     },
 }
 
-/// Timing breakdown of one shard run, returned by the `_stats` variants of
-/// the shard runners ([`Campaign::try_run_shard_stats`],
-/// [`Campaign::run_shard_blocks_stats`]).
-///
-/// The plain runners skip the timing instrumentation entirely (no clock
-/// reads in the hot loop), and results are bit-identical either way — the
-/// stats are observability, not configuration.
+/// Timing breakdown of one shard run, returned by [`Campaign::execute`]
+/// next to the accumulator. The stats are observability, not
+/// configuration: the accumulator never depends on them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ShardStats {
     /// Wall-clock seconds spent generating dies (sampling fault maps /
@@ -191,27 +188,21 @@ pub struct ShardStats {
     pub metrics: obs::MetricsSnapshot,
 }
 
-/// Which evaluation kernel a campaign drives. Every fixed kernel produces
+/// Which evaluation kernel a campaign drives. Both fixed kernels produce
 /// **bit-identical** per-panel results (the `kernel_equivalence` suite pins
-/// this); they differ only in throughput. [`KernelKind::Auto`] resolves to
-/// one of the fixed kernels per campaign before any sampling happens, so it
-/// inherits the same bit-identity guarantee.
+/// this against the scalar `observe` oracle); they differ only in
+/// throughput. [`KernelKind::Auto`] resolves to one of them per campaign
+/// before any sampling happens, so it inherits the same guarantee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelKind {
-    /// The dense row-walking kernel over the generic `observe` path.
-    Scalar,
     /// The event-driven kernel walking only fault-bearing rows through
     /// `observe_sparse` — the default.
     #[default]
     Sparse,
-    /// The bit-sliced kernel: up to 64 dies transposed into `u64` lanes and
-    /// evaluated together through `observe_block`, with a scalar tail for
-    /// leftover samples.
-    Bitsliced,
     /// The wide bit-sliced kernel: up to 256 dies transposed into
     /// [`W256`](faultmit_memsim::W256) lanes (four `u64` words per lane,
     /// autovectorisable element-wise ops) and evaluated together through the
-    /// wide block observer, with a scalar tail for leftover samples.
+    /// wide block observer, with a per-die tail for leftover samples.
     Bitsliced256,
     /// Density-adaptive choice: resolves to [`KernelKind::Bitsliced256`]
     /// when the expected fault density meets
@@ -232,23 +223,22 @@ pub enum KernelKind {
 pub const AUTO_FAULTS_PER_ROW_THRESHOLD: f64 = 1.0 / 16.0;
 
 impl KernelKind {
-    /// All kernels, in scalar → sparse → bitsliced → bitsliced256 → auto
-    /// order.
-    pub const ALL: [KernelKind; 5] = [
-        KernelKind::Scalar,
+    /// All kernels, in sparse → bitsliced256 → auto order.
+    pub const ALL: [KernelKind; 3] = [
         KernelKind::Sparse,
-        KernelKind::Bitsliced,
         KernelKind::Bitsliced256,
         KernelKind::Auto,
     ];
+
+    /// Names of kernels earlier releases offered and this one no longer
+    /// runs; parsing one fails with a message saying so.
+    pub const REMOVED: [&'static str; 2] = ["scalar", "bitsliced"];
 
     /// The CLI / telemetry name of the kernel.
     #[must_use]
     pub fn as_str(&self) -> &'static str {
         match self {
-            KernelKind::Scalar => "scalar",
             KernelKind::Sparse => "sparse",
-            KernelKind::Bitsliced => "bitsliced",
             KernelKind::Bitsliced256 => "bitsliced256",
             KernelKind::Auto => "auto",
         }
@@ -302,17 +292,18 @@ impl FromStr for KernelKind {
     type Err = SimError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim() {
-            "scalar" => Ok(KernelKind::Scalar),
+        let name = s.trim();
+        match name {
             "sparse" => Ok(KernelKind::Sparse),
-            "bitsliced" => Ok(KernelKind::Bitsliced),
             "bitsliced256" => Ok(KernelKind::Bitsliced256),
             "auto" => Ok(KernelKind::Auto),
-            other => Err(SimError::InvalidParameter {
+            removed if KernelKind::REMOVED.contains(&removed) => Err(SimError::InvalidParameter {
                 reason: format!(
-                    "unknown kernel '{other}' (expected \
-                     scalar|sparse|bitsliced|bitsliced256|auto)"
+                    "kernel '{removed}' was removed (expected sparse|bitsliced256|auto)"
                 ),
+            }),
+            other => Err(SimError::InvalidParameter {
+                reason: format!("unknown kernel '{other}' (expected sparse|bitsliced256|auto)"),
             }),
         }
     }
@@ -332,8 +323,6 @@ pub struct CampaignConfig<B: FaultBackend = SramVddBackend> {
     parallelism: Parallelism,
     map_policy: MapPolicy,
     image: ImageSpec,
-    scratch_reuse: bool,
-    wide_generation: bool,
 }
 
 impl CampaignConfig<SramVddBackend> {
@@ -388,8 +377,6 @@ impl<B: FaultBackend> CampaignConfig<B> {
             parallelism: Parallelism::default(),
             map_policy: MapPolicy::default(),
             image: ImageSpec::Zeros,
-            scratch_reuse: true,
-            wide_generation: true,
         })
     }
 
@@ -460,46 +447,6 @@ impl<B: FaultBackend> CampaignConfig<B> {
     pub fn with_image(mut self, image: ImageSpec) -> Self {
         self.image = image;
         self
-    }
-
-    /// Toggles per-worker [`DieScratch`] reuse (default **on**): each worker
-    /// thread keeps one warm arena across all its chunks, so steady-state
-    /// die generation performs zero heap allocations. Turning it off
-    /// restores the legacy fresh-allocation `DieBatch` path — results are
-    /// **bit-identical** either way (the kernel-equivalence suite pins
-    /// this); the toggle exists as the scalar baseline for throughput
-    /// benches and as the cross-check in equivalence tests.
-    #[must_use]
-    pub fn with_scratch_reuse(mut self, scratch_reuse: bool) -> Self {
-        self.scratch_reuse = scratch_reuse;
-        self
-    }
-
-    /// Whether per-worker scratch arenas are reused across dies.
-    #[must_use]
-    pub fn scratch_reuse(&self) -> bool {
-        self.scratch_reuse
-    }
-
-    /// Toggles the lane-interleaved block generation path (default **on**):
-    /// block kernels ([`KernelKind::Bitsliced`]/[`KernelKind::Bitsliced256`])
-    /// generate wide-capable backends' dies [`faultmit_memsim::WIDE_LANES`]
-    /// at a time through [`faultmit_memsim::widegen`]. Results are
-    /// **bit-identical** either way — each lane replays the exact scalar
-    /// per-sample RNG stream — so the toggle exists as the scalar baseline
-    /// for throughput benches and as the cross-check in equivalence tests.
-    /// Backends that do not opt in, and single-fault-per-row map policies,
-    /// take the scalar path regardless.
-    #[must_use]
-    pub fn with_wide_generation(mut self, wide_generation: bool) -> Self {
-        self.wide_generation = wide_generation;
-        self
-    }
-
-    /// Whether block kernels use the lane-interleaved generation path.
-    #[must_use]
-    pub fn wide_generation(&self) -> bool {
-        self.wide_generation
     }
 
     /// The data image the campaign's metric is declared against.
@@ -606,90 +553,6 @@ impl<B: FaultBackend> Campaign<B> {
         &self.config
     }
 
-    /// Runs the campaign with an infallible per-sample metric.
-    ///
-    /// `evaluate(scheme, fault_map)` is called once per `(scheme, die)` pair
-    /// — every scheme sees the identical die. `make_accumulator` creates one
-    /// chunk-local accumulator per work chunk; chunk results merge in chunk
-    /// order into the returned accumulator.
-    ///
-    /// Monolithic execution is the [`ShardSpec::solo`] special case of
-    /// [`Campaign::run_shard`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and sampling errors.
-    pub fn run<S, F, A>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        evaluate: F,
-        make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<A, SimError>
-    where
-        S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> f64 + Sync,
-        A: Accumulator,
-    {
-        self.run_shard(schemes, seed, ShardSpec::solo(), evaluate, make_accumulator)
-    }
-
-    /// Runs one shard of the campaign with an infallible per-sample metric
-    /// (see [`Campaign::try_run_shard`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and sampling errors.
-    pub fn run_shard<S, F, A>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        evaluate: F,
-        make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<A, SimError>
-    where
-        S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> f64 + Sync,
-        A: Accumulator,
-    {
-        self.try_run_shard(
-            schemes,
-            seed,
-            shard,
-            |scheme, map| Ok::<f64, Infallible>(evaluate(scheme, map)),
-            make_accumulator,
-        )
-        .map_err(|error| match error {
-            RunError::Sim(e) => e,
-            RunError::Eval(infallible) => match infallible {},
-        })
-    }
-
-    /// Runs the campaign with a fallible per-sample metric (e.g. the
-    /// application-quality evaluator, which can fail on degenerate data).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Sim`] for pipeline errors and [`RunError::Eval`]
-    /// with the first evaluator error in deterministic (chunk-order)
-    /// position.
-    pub fn try_run<S, F, A, E>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        evaluate: F,
-        make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<A, RunError<E>>
-    where
-        S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> Result<f64, E> + Sync,
-        A: Accumulator,
-        E: Send,
-    {
-        self.try_run_shard(schemes, seed, ShardSpec::solo(), evaluate, make_accumulator)
-    }
-
     /// The number of chunks the campaign's work list is split into — the
     /// granularity at which [`ShardSpec::chunk_range`] partitions work.
     ///
@@ -724,453 +587,113 @@ impl<B: FaultBackend> Campaign<B> {
         })
     }
 
-    /// Runs one shard of the campaign: only the chunks of
-    /// [`ShardSpec::chunk_range`] are generated and evaluated, but chunk
-    /// boundaries and per-sample RNG streams are computed from the *global*
-    /// plan, so shard accumulators merged in shard order (in the sense of
-    /// [`Accumulator::merge`]) are **bit-identical** to the monolithic run —
-    /// including order-sensitive floating-point weight sums — for every
-    /// backend and any worker count. [`Campaign::try_run`] is the
-    /// [`ShardSpec::solo`] special case of this method.
+    /// The global work list and the per-failure-count sample weights
+    /// (`weights[n]` is `Pr(N = n) / samples_per_count`, or
+    /// `1 / samples_per_count` at an exact failure count).
+    fn plan(&self) -> Result<(Vec<PlannedSample>, Vec<f64>), SimError> {
+        let samples_per_count = self.config.samples_per_count;
+        Ok(match self.config.exact_failures {
+            Some(n) => {
+                let plan = (0..samples_per_count as u64)
+                    .map(|k| PlannedSample {
+                        index: k,
+                        n_faults: n,
+                    })
+                    .collect();
+                let mut weights = vec![0.0; n as usize + 1];
+                weights[n as usize] = 1.0 / samples_per_count as f64;
+                (plan, weights)
+            }
+            None => {
+                let distribution = self.config.failure_distribution()?;
+                let max_failures = self.config.effective_max_failures()?;
+                let weights = (0..=max_failures)
+                    .map(|n| distribution.pmf(n) / samples_per_count as f64)
+                    .collect();
+                (build_plan(max_failures, samples_per_count), weights)
+            }
+        })
+    }
+
+    /// Runs one shard of the campaign — the single run entry point.
+    ///
+    /// Only the chunks of [`ShardSpec::chunk_range`] are generated and
+    /// evaluated, but chunk boundaries and per-sample RNG streams come from
+    /// the *global* plan, so shard accumulators merged in shard order (in
+    /// the sense of [`Accumulator::merge`]) are **bit-identical** to the
+    /// [`ShardSpec::solo`] run — including order-sensitive floating-point
+    /// weight sums — for every backend and any worker count.
+    ///
+    /// `evaluator` is built with [`per_die`] (every scheme sees each die's
+    /// [`FaultMap`]) or [`blocks`] (dies are grouped into transposed
+    /// [`DieBlock`]s of up to `L::LANES` dies, with lone samples taking the
+    /// per-die metric). Either way every scheme sees the identical die, and
+    /// when the block and per-die metrics agree per die the accumulator is
+    /// the same at any lane width. `make_accumulator` creates one
+    /// chunk-local accumulator per work chunk; chunk results merge in chunk
+    /// order into the returned accumulator.
+    ///
+    /// The run is always timed: the returned [`ShardStats`] carry the
+    /// generation seconds and the recorder delta of the shard.
     ///
     /// # Errors
     ///
     /// Returns [`RunError::Sim`] for pipeline errors and [`RunError::Eval`]
     /// with the first evaluator error in deterministic (chunk-order)
     /// position within the shard.
-    pub fn try_run_shard<S, F, A, E>(
+    pub fn execute<S, V, A>(
         &self,
         schemes: &[S],
         seed: u64,
         shard: ShardSpec,
-        evaluate: F,
+        evaluator: V,
         make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<A, RunError<E>>
+    ) -> Result<(A, ShardStats), RunError<V::Error>>
     where
         S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> Result<f64, E> + Sync,
+        V: Evaluator<S>,
         A: Accumulator,
-        E: Send,
     {
-        self.try_run_shard_timed(schemes, seed, shard, evaluate, make_accumulator, None)
-    }
-
-    /// [`Campaign::try_run_shard`] plus a [`ShardStats`] timing breakdown.
-    /// The accumulator is bit-identical to the untimed runner's.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Campaign::try_run_shard`].
-    pub fn try_run_shard_stats<S, F, A, E>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        evaluate: F,
-        make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<(A, ShardStats), RunError<E>>
-    where
-        S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> Result<f64, E> + Sync,
-        A: Accumulator,
-        E: Send,
-    {
-        let gen_nanos = AtomicU64::new(0);
-        let recorder = obs::current();
-        let before = recorder.as_ref().map(|r| r.snapshot());
-        let accumulator = self.try_run_shard_timed(
-            schemes,
-            seed,
-            shard,
-            evaluate,
-            make_accumulator,
-            Some(&gen_nanos),
-        )?;
-        let stats = ShardStats {
-            generation_seconds: gen_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            metrics: match (&recorder, &before) {
-                (Some(recorder), Some(before)) => recorder.snapshot().since(before),
-                _ => obs::MetricsSnapshot::default(),
-            },
-        };
-        Ok((accumulator, stats))
-    }
-
-    /// [`Campaign::try_run_shard`] with an optional generation timer:
-    /// workers add the nanoseconds they spend generating dies to
-    /// `gen_timer` (the mechanism behind
-    /// [`Campaign::try_run_shard_stats`]). `None` skips every clock read —
-    /// the plain runner delegates here with `None` at zero cost. Layers
-    /// that dispatch kernels themselves (the analysis engine) thread their
-    /// own timer through this entry point.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Campaign::try_run_shard`].
-    pub fn try_run_shard_timed<S, F, A, E>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        evaluate: F,
-        make_accumulator: impl Fn() -> A + Sync,
-        gen_timer: Option<&AtomicU64>,
-    ) -> Result<A, RunError<E>>
-    where
-        S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> Result<f64, E> + Sync,
-        A: Accumulator,
-        E: Send,
-    {
-        let plan_span = obs::span(obs::Stage::Plan);
-        let distribution = self.config.failure_distribution()?;
-        let samples_per_count = self.config.samples_per_count;
-        let (plan, weights) = match self.config.exact_failures {
-            Some(n) => {
-                let plan: Vec<PlannedSample> = (0..samples_per_count as u64)
-                    .map(|k| PlannedSample {
-                        index: k,
-                        n_faults: n,
-                    })
-                    .collect();
-                let mut weights = vec![0.0; n as usize + 1];
-                weights[n as usize] = 1.0 / samples_per_count as f64;
-                (plan, weights)
-            }
-            None => {
-                let max_failures = self.config.effective_max_failures()?;
-                let plan = build_plan(max_failures, samples_per_count);
-                let weights = (0..=max_failures)
-                    .map(|n| distribution.pmf(n) / samples_per_count as f64)
-                    .collect();
-                (plan, weights)
-            }
-        };
-        drop(plan_span);
-
-        let backend = &self.config.backend;
-        let seeder = StreamSeeder::new(seed);
-        let chunk_size = self.config.chunk_size;
-        let chunk_count = plan.len().div_ceil(chunk_size);
-        // Chunk boundaries come from the global plan; the shard only selects
-        // which contiguous run of chunks to evaluate, so every chunk's
-        // contents (and its samples' RNG streams) are identical whether the
-        // campaign runs monolithically or split across processes.
-        let owned_chunks = shard.chunk_range(chunk_count);
-        let workers = self.config.parallelism.worker_count();
-        let map_policy = self.config.map_policy;
-        let scratch_reuse = self.config.scratch_reuse;
-
         // The calling thread's recorder (if any) is re-installed on every
         // worker so hot-path counters land in one place regardless of the
         // thread the chunk happens to run on.
         let recorder = obs::current();
-        let timing = gen_timer.is_some() || recorder.is_some();
-
-        // Per-worker scratch: a warm `DieScratch` arena plus a recycled
-        // metrics buffer, both reused across every chunk the worker claims.
-        // Scratch holds storage only — each chunk's result stays a pure
-        // function of its index, so bit-identity at any worker count is
-        // unaffected.
-        let chunk_results: Vec<Result<A, RunError<E>>> = run_chunked_with(
-            owned_chunks.len(),
-            workers,
-            || {
-                (
-                    recorder.as_ref().map(obs::install),
-                    DieScratch::new(backend.config()),
-                    Vec::<f64>::with_capacity(schemes.len()),
-                )
-            },
-            |(_recorder_guard, scratch, metrics), local_index| {
-                let chunk_index = owned_chunks.start + local_index;
-                let start = chunk_index * chunk_size;
-                let end = (start + chunk_size).min(plan.len());
-                let mut accumulator = make_accumulator();
-                // Timing is accumulated locally per chunk and flushed with
-                // one atomic add (and one arena flush), so the (optional)
-                // stage clocks cost a few reads per die and nothing
-                // cross-thread.
-                let mut arena = obs::MetricsArena::new();
-                let mut gen_nanos = 0u64;
-                let mut observe_nanos = 0u64;
-                let mut reduce_nanos = 0u64;
-                let evaluated = (end - start) as u64;
-
-                if scratch_reuse {
-                    for planned in &plan[start..end] {
-                        let mut rng = seeder.rng_for_sample(planned.index);
-                        let n = planned.n_faults as usize;
-                        let clock = timing.then(Instant::now);
-                        let map = match map_policy {
-                            MapPolicy::Unrestricted => scratch.generate(backend, &mut rng, n),
-                            MapPolicy::SingleFaultPerRow { max_redraws } => scratch
-                                .generate_single_fault_per_row(backend, &mut rng, n, max_redraws),
-                        }
-                        .map_err(|e| RunError::Sim(SimError::from(e)))?;
-                        let clock = clock.map(|t| {
-                            gen_nanos += t.elapsed().as_nanos() as u64;
-                            Instant::now()
-                        });
-                        metrics.clear();
-                        for scheme in schemes {
-                            metrics.push(evaluate(scheme, map).map_err(RunError::Eval)?);
-                        }
-                        let clock = clock.map(|t| {
-                            observe_nanos += t.elapsed().as_nanos() as u64;
-                            Instant::now()
-                        });
-                        let sample = PairedSample {
-                            sample_index: planned.index,
-                            n_faults: planned.n_faults,
-                            weight: weights[planned.n_faults as usize],
-                            metrics: std::mem::take(metrics),
-                        };
-                        accumulator.record(&sample);
-                        // Reclaim the metrics buffer for the next die.
-                        *metrics = sample.metrics;
-                        if let Some(t) = clock {
-                            reduce_nanos += t.elapsed().as_nanos() as u64;
-                        }
-                    }
-                } else {
-                    // Legacy fresh-allocation path: one `DieBatch` per chunk
-                    // — the reference the equivalence suite compares against
-                    // and the scalar baseline of the throughput benches.
-                    let clock = timing.then(Instant::now);
-                    let batch = match map_policy {
-                        MapPolicy::Unrestricted => {
-                            DieBatch::generate_with_backend(backend, &seeder, &plan[start..end])
-                        }
-                        MapPolicy::SingleFaultPerRow { max_redraws } => {
-                            DieBatch::generate_single_fault_per_row_with_backend(
-                                backend,
-                                &seeder,
-                                &plan[start..end],
-                                max_redraws,
-                            )
-                        }
-                    }
-                    .map_err(|e| RunError::Sim(SimError::from(e)))?;
-                    let clock = clock.map(|t| {
-                        gen_nanos += t.elapsed().as_nanos() as u64;
-                        Instant::now()
-                    });
-
-                    for (planned, map) in batch.iter() {
-                        let metrics = schemes
-                            .iter()
-                            .map(|scheme| evaluate(scheme, map))
-                            .collect::<Result<Vec<f64>, E>>()
-                            .map_err(RunError::Eval)?;
-                        accumulator.record(&PairedSample {
-                            sample_index: planned.index,
-                            n_faults: planned.n_faults,
-                            weight: weights[planned.n_faults as usize],
-                            metrics,
-                        });
-                    }
-                    if let Some(t) = clock {
-                        observe_nanos += t.elapsed().as_nanos() as u64;
-                    }
-                }
-
-                if let Some(timer) = gen_timer {
-                    timer.fetch_add(gen_nanos, Ordering::Relaxed);
-                }
-                arena.count(obs::Counter::ChunksExecuted, 1);
-                arena.count(obs::Counter::SamplesEvaluated, evaluated);
-                if timing {
-                    arena.add_stage(obs::Stage::Generate, gen_nanos, evaluated);
-                    arena.add_stage(obs::Stage::Observe, observe_nanos, evaluated);
-                    arena.add_stage(obs::Stage::Reduce, reduce_nanos, evaluated);
-                }
-                arena.flush();
-                Ok(accumulator)
-            },
-        );
-
-        let merge_span = obs::span(obs::Stage::Merge);
-        let mut merged = make_accumulator();
-        for result in chunk_results {
-            merged.merge(result?);
-        }
-        drop(merge_span);
-        Ok(merged)
-    }
-
-    /// Runs one shard through the **bit-sliced** evaluation pipeline: each
-    /// chunk's samples are grouped into transposed [`DieBlock`]s of up to
-    /// `L::LANES` dies (64 for `u64` lanes, 256 for
-    /// [`W256`](faultmit_memsim::W256)), `evaluate_block(scheme, block,
-    /// out)` fills `out[j]` with die `j`'s metric for all dies at once, and
-    /// degenerate single-sample groups fall back to the scalar
-    /// `evaluate_sample` tail — so any `(samples, chunk size, shard)` plan
-    /// still works at any lane width.
-    ///
-    /// Chunk boundaries, per-sample RNG streams, weights and record order
-    /// are computed exactly as in [`Campaign::try_run_shard`]; when the two
-    /// evaluators agree per die, the resulting accumulator is
-    /// **bit-identical** to the per-sample kernels at any worker count,
-    /// shard split and lane width.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and sampling errors.
-    pub fn run_shard_blocks<L, S, F, G, A>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        evaluate_sample: F,
-        evaluate_block: G,
-        make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<A, SimError>
-    where
-        L: Lane,
-        S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> f64 + Sync,
-        G: Fn(&S, &DieBlock<'_, L>, &mut [f64]) + Sync,
-        A: Accumulator,
-    {
-        self.run_shard_blocks_timed(
-            schemes,
-            seed,
-            shard,
-            evaluate_sample,
-            evaluate_block,
-            make_accumulator,
-            None,
-        )
-    }
-
-    /// [`Campaign::run_shard_blocks`] plus a [`ShardStats`] timing
-    /// breakdown. The accumulator is bit-identical to the untimed runner's.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Campaign::run_shard_blocks`].
-    pub fn run_shard_blocks_stats<L, S, F, G, A>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        evaluate_sample: F,
-        evaluate_block: G,
-        make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<(A, ShardStats), SimError>
-    where
-        L: Lane,
-        S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> f64 + Sync,
-        G: Fn(&S, &DieBlock<'_, L>, &mut [f64]) + Sync,
-        A: Accumulator,
-    {
-        let gen_nanos = AtomicU64::new(0);
-        let recorder = obs::current();
         let before = recorder.as_ref().map(|r| r.snapshot());
-        let accumulator = self.run_shard_blocks_timed(
-            schemes,
-            seed,
-            shard,
-            evaluate_sample,
-            evaluate_block,
-            make_accumulator,
-            Some(&gen_nanos),
-        )?;
-        let stats = ShardStats {
-            generation_seconds: gen_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            metrics: match (&recorder, &before) {
-                (Some(recorder), Some(before)) => recorder.snapshot().since(before),
-                _ => obs::MetricsSnapshot::default(),
-            },
-        };
-        Ok((accumulator, stats))
-    }
-
-    /// [`Campaign::run_shard_blocks`] with an optional generation timer
-    /// (see [`Campaign::try_run_shard_timed`] for the protocol).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Campaign::run_shard_blocks`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_shard_blocks_timed<L, S, F, G, A>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        evaluate_sample: F,
-        evaluate_block: G,
-        make_accumulator: impl Fn() -> A + Sync,
-        gen_timer: Option<&AtomicU64>,
-    ) -> Result<A, SimError>
-    where
-        L: Lane,
-        S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> f64 + Sync,
-        G: Fn(&S, &DieBlock<'_, L>, &mut [f64]) + Sync,
-        A: Accumulator,
-    {
         let plan_span = obs::span(obs::Stage::Plan);
-        let distribution = self.config.failure_distribution()?;
-        let samples_per_count = self.config.samples_per_count;
-        let (plan, weights) = match self.config.exact_failures {
-            Some(n) => {
-                let plan: Vec<PlannedSample> = (0..samples_per_count as u64)
-                    .map(|k| PlannedSample {
-                        index: k,
-                        n_faults: n,
-                    })
-                    .collect();
-                let mut weights = vec![0.0; n as usize + 1];
-                weights[n as usize] = 1.0 / samples_per_count as f64;
-                (plan, weights)
-            }
-            None => {
-                let max_failures = self.config.effective_max_failures()?;
-                let plan = build_plan(max_failures, samples_per_count);
-                let weights = (0..=max_failures)
-                    .map(|n| distribution.pmf(n) / samples_per_count as f64)
-                    .collect();
-                (plan, weights)
-            }
-        };
+        let (plan, weights) = self.plan()?;
         drop(plan_span);
 
         let backend = &self.config.backend;
         let seeder = StreamSeeder::new(seed);
         let chunk_size = self.config.chunk_size;
-        let chunk_count = plan.len().div_ceil(chunk_size);
-        let owned_chunks = shard.chunk_range(chunk_count);
-        let workers = self.config.parallelism.worker_count();
-        // The single-fault-per-row protocol threads through the block
-        // generator as a redraw budget so RNG consumption stays identical.
+        // Chunk boundaries come from the global plan; the shard only selects
+        // which contiguous run of chunks to evaluate, so every chunk's
+        // contents (and its samples' RNG streams) are identical whether the
+        // campaign runs monolithically or split across processes.
+        let owned_chunks = shard.chunk_range(plan.len().div_ceil(chunk_size));
+        // The single-fault-per-row protocol threads through both generators
+        // as a redraw budget so RNG consumption stays identical.
         let max_redraws = match self.config.map_policy {
             MapPolicy::Unrestricted => None,
             MapPolicy::SingleFaultPerRow { max_redraws } => Some(max_redraws),
         };
-        let wide_generation = self.config.wide_generation;
-
-        // Re-install the calling thread's recorder (if any) on every worker
-        // so block-kernel counters land in one place.
-        let recorder = obs::current();
-        let timing = gen_timer.is_some() || recorder.is_some();
+        let gen_timer = AtomicU64::new(0);
 
         // Per-worker scratch: one warm arena (fault map + transposed block
-        // buffers), a recycled per-die metrics vector, and the per-scheme
-        // block output matrix (schemes × L::LANES lanes).
-        let chunk_results: Vec<Result<A, SimError>> = run_chunked_with(
+        // buffers), a recycled per-die metrics vector and the per-scheme
+        // block output matrix (schemes × block width), all reused across
+        // every chunk the worker claims. Scratch holds storage only — each
+        // chunk's result stays a pure function of its index, so
+        // bit-identity at any worker count is unaffected.
+        let chunk_results: Vec<Result<A, RunError<V::Error>>> = run_chunked_with(
             owned_chunks.len(),
-            workers,
+            self.config.parallelism.worker_count(),
             || {
-                let mut scratch = BlockScratch::<L>::new(backend.config());
-                scratch.set_wide_generation(wide_generation);
                 (
                     recorder.as_ref().map(obs::install),
-                    scratch,
+                    BlockScratch::<V::Lane>::new(backend.config()),
                     Vec::<f64>::with_capacity(schemes.len()),
-                    vec![0.0f64; schemes.len() * L::LANES],
+                    vec![0.0f64; schemes.len() * V::BLOCK_DIES],
                 )
             },
             |(_recorder_guard, scratch, metrics, block_out), local_index| {
@@ -1178,101 +701,76 @@ impl<B: FaultBackend> Campaign<B> {
                 let start = chunk_index * chunk_size;
                 let end = (start + chunk_size).min(plan.len());
                 let mut accumulator = make_accumulator();
-                // Per-chunk local accumulation, one atomic flush per chunk.
+                // Timing is accumulated locally per chunk and flushed with
+                // one atomic add (and one arena flush), so the stage clocks
+                // cost a few reads per die and nothing cross-thread.
                 let mut arena = obs::MetricsArena::new();
                 let mut gen_nanos = 0u64;
                 let mut observe_nanos = 0u64;
                 let mut reduce_nanos = 0u64;
-                let evaluated = (end - start) as u64;
+                let mut record = |planned: &PlannedSample, metrics: &mut Vec<f64>| {
+                    let sample = PairedSample {
+                        sample_index: planned.index,
+                        n_faults: planned.n_faults,
+                        weight: weights[planned.n_faults as usize],
+                        metrics: std::mem::take(metrics),
+                    };
+                    accumulator.record(&sample);
+                    // Reclaim the metrics buffer for the next die.
+                    *metrics = sample.metrics;
+                };
 
-                for group in plan[start..end].chunks(L::LANES) {
+                for group in plan[start..end].chunks(V::BLOCK_DIES) {
+                    let clock = Instant::now();
                     if let [planned] = group {
-                        // Scalar tail: a lone sample is cheaper through the
-                        // per-die sparse path than through transposition.
-                        let scalar = scratch.scalar_mut();
+                        // Per-die path (and the block kernels' tail: a lone
+                        // sample is cheaper through the sparse walk than
+                        // through transposition).
                         let mut rng = seeder.rng_for_sample(planned.index);
                         let n = planned.n_faults as usize;
-                        let clock = timing.then(Instant::now);
+                        let scalar = scratch.scalar_mut();
                         let map = match max_redraws {
                             None => scalar.generate(backend, &mut rng, n),
                             Some(budget) => {
                                 scalar.generate_single_fault_per_row(backend, &mut rng, n, budget)
                             }
                         }
-                        .map_err(SimError::from)?;
-                        let clock = clock.map(|t| {
-                            gen_nanos += t.elapsed().as_nanos() as u64;
-                            Instant::now()
-                        });
+                        .map_err(|e| RunError::Sim(SimError::from(e)))?;
+                        let clock = lap(clock, &mut gen_nanos);
                         metrics.clear();
                         for scheme in schemes {
-                            metrics.push(evaluate_sample(scheme, map));
+                            metrics.push(evaluator.die(scheme, map).map_err(RunError::Eval)?);
                         }
-                        let clock = clock.map(|t| {
-                            observe_nanos += t.elapsed().as_nanos() as u64;
-                            Instant::now()
-                        });
-                        let sample = PairedSample {
-                            sample_index: planned.index,
-                            n_faults: planned.n_faults,
-                            weight: weights[planned.n_faults as usize],
-                            metrics: std::mem::take(metrics),
-                        };
-                        accumulator.record(&sample);
-                        *metrics = sample.metrics;
-                        if let Some(t) = clock {
-                            reduce_nanos += t.elapsed().as_nanos() as u64;
-                        }
+                        let clock = lap(clock, &mut observe_nanos);
+                        record(planned, metrics);
+                        lap(clock, &mut reduce_nanos);
                         continue;
                     }
 
-                    let clock = timing.then(Instant::now);
                     let block = scratch
                         .generate_block(backend, &seeder, group, max_redraws)
-                        .map_err(SimError::from)?;
-                    let clock = clock.map(|t| {
-                        gen_nanos += t.elapsed().as_nanos() as u64;
-                        Instant::now()
-                    });
+                        .map_err(|e| RunError::Sim(SimError::from(e)))?;
+                    let clock = lap(clock, &mut gen_nanos);
+                    let width = V::BLOCK_DIES;
                     for (s, scheme) in schemes.iter().enumerate() {
-                        evaluate_block(
-                            scheme,
-                            &block,
-                            &mut block_out[s * L::LANES..(s + 1) * L::LANES],
-                        );
+                        evaluator.block(scheme, &block, &mut block_out[s * width..(s + 1) * width]);
                     }
-                    let clock = clock.map(|t| {
-                        observe_nanos += t.elapsed().as_nanos() as u64;
-                        Instant::now()
-                    });
+                    let clock = lap(clock, &mut observe_nanos);
                     for (j, planned) in group.iter().enumerate() {
                         metrics.clear();
-                        for s in 0..schemes.len() {
-                            metrics.push(block_out[s * L::LANES + j]);
-                        }
-                        let sample = PairedSample {
-                            sample_index: planned.index,
-                            n_faults: planned.n_faults,
-                            weight: weights[planned.n_faults as usize],
-                            metrics: std::mem::take(metrics),
-                        };
-                        accumulator.record(&sample);
-                        *metrics = sample.metrics;
+                        metrics.extend((0..schemes.len()).map(|s| block_out[s * width + j]));
+                        record(planned, metrics);
                     }
-                    if let Some(t) = clock {
-                        reduce_nanos += t.elapsed().as_nanos() as u64;
-                    }
+                    lap(clock, &mut reduce_nanos);
                 }
-                if let Some(timer) = gen_timer {
-                    timer.fetch_add(gen_nanos, Ordering::Relaxed);
-                }
+
+                let evaluated = (end - start) as u64;
+                gen_timer.fetch_add(gen_nanos, Ordering::Relaxed);
                 arena.count(obs::Counter::ChunksExecuted, 1);
                 arena.count(obs::Counter::SamplesEvaluated, evaluated);
-                if timing {
-                    arena.add_stage(obs::Stage::Generate, gen_nanos, evaluated);
-                    arena.add_stage(obs::Stage::Observe, observe_nanos, evaluated);
-                    arena.add_stage(obs::Stage::Reduce, reduce_nanos, evaluated);
-                }
+                arena.add_stage(obs::Stage::Generate, gen_nanos, evaluated);
+                arena.add_stage(obs::Stage::Observe, observe_nanos, evaluated);
+                arena.add_stage(obs::Stage::Reduce, reduce_nanos, evaluated);
                 arena.flush();
                 Ok(accumulator)
             },
@@ -1284,7 +782,170 @@ impl<B: FaultBackend> Campaign<B> {
             merged.merge(result?);
         }
         drop(merge_span);
-        Ok(merged)
+        let stats = ShardStats {
+            generation_seconds: gen_timer.load(Ordering::Relaxed) as f64 * 1e-9,
+            metrics: match (&recorder, &before) {
+                (Some(recorder), Some(before)) => recorder.snapshot().since(before),
+                _ => obs::MetricsSnapshot::default(),
+            },
+        };
+        Ok((merged, stats))
+    }
+}
+
+/// Adds the nanoseconds since `since` to `total` and returns the new lap
+/// start.
+fn lap(since: Instant, total: &mut u64) -> Instant {
+    let now = Instant::now();
+    *total += now.duration_since(since).as_nanos() as u64;
+    now
+}
+
+/// The metric a per-die evaluator returns: a bare `f64` (the evaluator
+/// cannot fail) or a `Result<f64, E>` whose error aborts the run as
+/// [`RunError::Eval`].
+pub trait DieMetric {
+    /// The evaluator's error type ([`Infallible`] for a bare `f64`).
+    type Error: Send;
+
+    /// The metric value, or the evaluator's error.
+    ///
+    /// # Errors
+    ///
+    /// Returns the evaluator's error unchanged.
+    fn into_result(self) -> Result<f64, Self::Error>;
+}
+
+impl DieMetric for f64 {
+    type Error = Infallible;
+
+    fn into_result(self) -> Result<f64, Infallible> {
+        Ok(self)
+    }
+}
+
+impl<E: Send> DieMetric for Result<f64, E> {
+    type Error = E;
+
+    fn into_result(self) -> Result<f64, E> {
+        self
+    }
+}
+
+/// How [`Campaign::execute`] evaluates sampled dies. Build one with
+/// [`per_die`] or [`blocks`].
+pub trait Evaluator<S>: Sync {
+    /// Lane type of the transposed blocks the evaluator consumes
+    /// ([`per_die`] evaluators name `u64` and never receive a block).
+    type Lane: Lane;
+    /// Error type of the per-die metric.
+    type Error: Send;
+    /// Dies evaluated together as one block; `1` evaluates die by die.
+    const BLOCK_DIES: usize;
+
+    /// The metric of one die under `scheme`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the evaluator's error, which aborts the run.
+    fn die(&self, scheme: &S, map: &FaultMap) -> Result<f64, Self::Error>;
+
+    /// Fills `out[j]` with die `j`'s metric under `scheme` for every die
+    /// of `block`.
+    fn block(&self, scheme: &S, block: &DieBlock<'_, Self::Lane>, out: &mut [f64]);
+}
+
+/// A borrowed evaluator runs exactly like the owned one, so one evaluator
+/// can drive several campaigns.
+impl<S, V: Evaluator<S>> Evaluator<S> for &V {
+    type Lane = V::Lane;
+    type Error = V::Error;
+    const BLOCK_DIES: usize = V::BLOCK_DIES;
+
+    fn die(&self, scheme: &S, map: &FaultMap) -> Result<f64, V::Error> {
+        (**self).die(scheme, map)
+    }
+
+    fn block(&self, scheme: &S, block: &DieBlock<'_, V::Lane>, out: &mut [f64]) {
+        (**self).block(scheme, block, out);
+    }
+}
+
+/// A per-die evaluator (see [`per_die`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PerDie<F>(F);
+
+/// A block evaluator with a per-die tail (see [`blocks`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Blocks<L, F, G> {
+    die: F,
+    block: G,
+    lane: PhantomData<fn() -> L>,
+}
+
+/// Evaluates every die on its own: `metric(scheme, map)` returns an `f64`
+/// or a `Result<f64, E>` (see [`DieMetric`]).
+pub fn per_die<S, F, M>(metric: F) -> PerDie<F>
+where
+    F: Fn(&S, &FaultMap) -> M + Sync,
+    M: DieMetric,
+{
+    PerDie(metric)
+}
+
+/// Evaluates dies `L::LANES` at a time: `block(scheme, block, out)` fills
+/// `out[j]` with die `j`'s metric, and a lone sample left at the end of a
+/// chunk takes `metric(scheme, map)` instead, so any
+/// `(samples, chunk size, shard)` plan works at any lane width.
+pub fn blocks<S, L, F, M, G>(metric: F, block: G) -> Blocks<L, F, G>
+where
+    L: Lane,
+    F: Fn(&S, &FaultMap) -> M + Sync,
+    M: DieMetric,
+    G: Fn(&S, &DieBlock<'_, L>, &mut [f64]) + Sync,
+{
+    Blocks {
+        die: metric,
+        block,
+        lane: PhantomData,
+    }
+}
+
+impl<S, F, M> Evaluator<S> for PerDie<F>
+where
+    F: Fn(&S, &FaultMap) -> M + Sync,
+    M: DieMetric,
+{
+    type Lane = u64;
+    type Error = M::Error;
+    const BLOCK_DIES: usize = 1;
+
+    fn die(&self, scheme: &S, map: &FaultMap) -> Result<f64, M::Error> {
+        (self.0)(scheme, map).into_result()
+    }
+
+    fn block(&self, _: &S, _: &DieBlock<'_, u64>, _: &mut [f64]) {
+        unreachable!("one-die groups always take the per-die path")
+    }
+}
+
+impl<S, L, F, M, G> Evaluator<S> for Blocks<L, F, G>
+where
+    L: Lane,
+    F: Fn(&S, &FaultMap) -> M + Sync,
+    M: DieMetric,
+    G: Fn(&S, &DieBlock<'_, L>, &mut [f64]) + Sync,
+{
+    type Lane = L;
+    type Error = M::Error;
+    const BLOCK_DIES: usize = L::LANES;
+
+    fn die(&self, scheme: &S, map: &FaultMap) -> Result<f64, M::Error> {
+        (self.die)(scheme, map).into_result()
+    }
+
+    fn block(&self, scheme: &S, block: &DieBlock<'_, L>, out: &mut [f64]) {
+        (self.block)(scheme, block, out);
     }
 }
 
@@ -1308,6 +969,21 @@ mod tests {
     use super::*;
     use crate::accumulate::CollectRecords;
     use faultmit_core::Scheme;
+
+    /// Runs one shard of `campaign` with a per-die metric, collecting
+    /// every record.
+    fn collect<B: FaultBackend>(
+        campaign: &Campaign<B>,
+        schemes: &[Scheme],
+        seed: u64,
+        shard: ShardSpec,
+        metric: impl Fn(&Scheme, &FaultMap) -> f64 + Sync,
+    ) -> CollectRecords {
+        campaign
+            .execute(schemes, seed, shard, per_die(metric), CollectRecords::new)
+            .unwrap()
+            .0
+    }
 
     fn config() -> CampaignConfig {
         CampaignConfig::new(MemoryConfig::new(128, 32).unwrap(), 1e-3)
@@ -1348,14 +1024,13 @@ mod tests {
     fn paired_metrics_line_up_with_schemes() {
         let campaign = Campaign::new(config());
         let schemes = [Scheme::unprotected32(), Scheme::secded32()];
-        let result = campaign
-            .run(
-                &schemes,
-                1,
-                |scheme, map| map.fault_count() as f64 + scheme.extra_bits_per_row() as f64,
-                CollectRecords::new,
-            )
-            .unwrap();
+        let result = collect(
+            &campaign,
+            &schemes,
+            1,
+            ShardSpec::solo(),
+            |scheme: &Scheme, map| map.fault_count() as f64 + scheme.extra_bits_per_row() as f64,
+        );
         assert_eq!(result.records.len(), 60);
         for record in &result.records {
             assert_eq!(record.metrics.len(), 2);
@@ -1369,14 +1044,13 @@ mod tests {
     #[test]
     fn records_arrive_in_global_sample_order() {
         let campaign = Campaign::new(config().with_parallelism(Parallelism::threads(4)));
-        let result = campaign
-            .run(
-                &[Scheme::unprotected32()],
-                2,
-                |_, map| map.fault_count() as f64,
-                CollectRecords::new,
-            )
-            .unwrap();
+        let result = collect(
+            &campaign,
+            &[Scheme::unprotected32()],
+            2,
+            ShardSpec::solo(),
+            |_, map| map.fault_count() as f64,
+        );
         let indices: Vec<u64> = result.records.iter().map(|r| r.sample_index).collect();
         assert_eq!(indices, (0..60).collect::<Vec<u64>>());
     }
@@ -1388,12 +1062,8 @@ mod tests {
         let schemes = [Scheme::unprotected32(), Scheme::shuffle32(3).unwrap()];
         let evaluate =
             |scheme: &Scheme, map: &FaultMap| map.fault_count() as f64 * scheme.word_bits() as f64;
-        let a = serial
-            .run(&schemes, 7, evaluate, CollectRecords::new)
-            .unwrap();
-        let b = parallel
-            .run(&schemes, 7, evaluate, CollectRecords::new)
-            .unwrap();
+        let a = collect(&serial, &schemes, 7, ShardSpec::solo(), evaluate);
+        let b = collect(&parallel, &schemes, 7, ShardSpec::solo(), evaluate);
         assert_eq!(a, b);
     }
 
@@ -1401,12 +1071,20 @@ mod tests {
     fn chunk_size_does_not_change_results() {
         let schemes = [Scheme::unprotected32()];
         let evaluate = |_: &Scheme, map: &FaultMap| map.fault_count() as f64;
-        let small = Campaign::new(config().with_chunk_size(1))
-            .run(&schemes, 3, evaluate, CollectRecords::new)
-            .unwrap();
-        let large = Campaign::new(config().with_chunk_size(1000))
-            .run(&schemes, 3, evaluate, CollectRecords::new)
-            .unwrap();
+        let small = collect(
+            &Campaign::new(config().with_chunk_size(1)),
+            &schemes,
+            3,
+            ShardSpec::solo(),
+            evaluate,
+        );
+        let large = collect(
+            &Campaign::new(config().with_chunk_size(1000)),
+            &schemes,
+            3,
+            ShardSpec::solo(),
+            evaluate,
+        );
         assert_eq!(small, large);
     }
 
@@ -1414,14 +1092,13 @@ mod tests {
     fn weights_follow_the_binomial_pmf() {
         let campaign = Campaign::new(config());
         let distribution = campaign.config().failure_distribution().unwrap();
-        let result = campaign
-            .run(
-                &[Scheme::unprotected32()],
-                5,
-                |_, _| 0.0,
-                CollectRecords::new,
-            )
-            .unwrap();
+        let result = collect(
+            &campaign,
+            &[Scheme::unprotected32()],
+            5,
+            ShardSpec::solo(),
+            |_, _| 0.0,
+        );
         for record in &result.records {
             let expected = distribution.pmf(record.n_faults) / 10.0;
             assert!((record.weight - expected).abs() <= 1e-18 + expected * 1e-12);
@@ -1433,31 +1110,29 @@ mod tests {
         let campaign = Campaign::new(
             config().with_map_policy(MapPolicy::SingleFaultPerRow { max_redraws: 1000 }),
         );
-        let result = campaign
-            .run(
-                &[Scheme::secded32()],
-                11,
-                |scheme, map| {
-                    // Under the policy SECDED corrects every die.
-                    faultmit_core::MitigationScheme::observe(scheme, map, 0, 0).value as f64
-                },
-                CollectRecords::new,
-            )
-            .unwrap();
+        let result = collect(
+            &campaign,
+            &[Scheme::secded32()],
+            11,
+            ShardSpec::solo(),
+            |scheme, map| {
+                // Under the policy SECDED corrects every die.
+                faultmit_core::MitigationScheme::observe(scheme, map, 0, 0).value as f64
+            },
+        );
         assert!(!result.records.is_empty());
     }
 
     #[test]
     fn exact_failure_count_mode_samples_one_count() {
         let campaign = Campaign::new(config().with_exact_failures(5));
-        let result = campaign
-            .run(
-                &[Scheme::unprotected32()],
-                9,
-                |_, map| map.fault_count() as f64,
-                CollectRecords::new,
-            )
-            .unwrap();
+        let result = collect(
+            &campaign,
+            &[Scheme::unprotected32()],
+            9,
+            ShardSpec::solo(),
+            |_, map| map.fault_count() as f64,
+        );
         assert_eq!(result.records.len(), 10);
         for record in &result.records {
             assert_eq!(record.n_faults, 5);
@@ -1469,19 +1144,54 @@ mod tests {
     #[test]
     fn evaluator_errors_surface_deterministically() {
         let campaign = Campaign::new(config().with_parallelism(Parallelism::threads(4)));
-        let result = campaign.try_run(
+        let result = campaign.execute(
             &[Scheme::unprotected32()],
             1,
-            |_, map| {
+            ShardSpec::solo(),
+            per_die(|_: &Scheme, map: &FaultMap| {
                 if map.fault_count() >= 3 {
                     Err("too many faults")
                 } else {
                     Ok(0.0)
                 }
-            },
+            }),
             CollectRecords::new,
         );
         assert_eq!(result.unwrap_err(), RunError::Eval("too many faults"));
+    }
+
+    #[test]
+    fn execute_reports_generation_time_and_the_recorder_delta() {
+        let campaign = Campaign::new(config().with_parallelism(Parallelism::threads(2)));
+        let schemes = [Scheme::unprotected32()];
+        let metric = |_: &Scheme, map: &FaultMap| map.fault_count() as f64;
+        // No recorder installed: the delta is empty, the clock still runs.
+        let (plain, stats) = campaign
+            .execute(
+                &schemes,
+                4,
+                ShardSpec::solo(),
+                per_die(metric),
+                CollectRecords::new,
+            )
+            .unwrap();
+        assert!(stats.generation_seconds > 0.0);
+        assert_eq!(stats.metrics, obs::MetricsSnapshot::default());
+        // With a recorder, the delta counts exactly this shard's samples.
+        let recorder = std::sync::Arc::new(obs::Recorder::new());
+        let _guard = obs::install(&recorder);
+        let (recorded, stats) = campaign
+            .execute(
+                &schemes,
+                4,
+                ShardSpec::solo(),
+                per_die(metric),
+                CollectRecords::new,
+            )
+            .unwrap();
+        assert_eq!(recorded, plain);
+        assert_eq!(stats.metrics.counter(obs::Counter::SamplesEvaluated), 60);
+        assert_eq!(stats.metrics.counter(obs::Counter::ChunksExecuted), 15);
     }
 
     #[test]
@@ -1513,12 +1223,8 @@ mod tests {
         );
         let schemes = [Scheme::unprotected32()];
         let evaluate = |_: &Scheme, map: &FaultMap| map.fault_count() as f64;
-        let a = legacy
-            .run(&schemes, 31, evaluate, CollectRecords::new)
-            .unwrap();
-        let b = explicit
-            .run(&schemes, 31, evaluate, CollectRecords::new)
-            .unwrap();
+        let a = collect(&legacy, &schemes, 31, ShardSpec::solo(), evaluate);
+        let b = collect(&explicit, &schemes, 31, ShardSpec::solo(), evaluate);
         assert_eq!(a, b);
     }
 
@@ -1535,12 +1241,20 @@ mod tests {
                 .with_samples_per_count(8)
                 .with_max_failures(5)
                 .with_chunk_size(3);
-            let serial = Campaign::new(base.with_parallelism(Parallelism::Serial))
-                .run(&schemes, 13, evaluate, CollectRecords::new)
-                .unwrap();
-            let threaded = Campaign::new(base.with_parallelism(Parallelism::threads(4)))
-                .run(&schemes, 13, evaluate, CollectRecords::new)
-                .unwrap();
+            let serial = collect(
+                &Campaign::new(base.with_parallelism(Parallelism::Serial)),
+                &schemes,
+                13,
+                ShardSpec::solo(),
+                evaluate,
+            );
+            let threaded = collect(
+                &Campaign::new(base.with_parallelism(Parallelism::threads(4))),
+                &schemes,
+                13,
+                ShardSpec::solo(),
+                evaluate,
+            );
             assert_eq!(serial, threaded, "{kind} diverges across worker counts");
             assert_eq!(serial.records.len(), 40, "{kind}");
         }
@@ -1599,16 +1313,12 @@ mod tests {
         let schemes = [Scheme::unprotected32(), Scheme::shuffle32(3).unwrap()];
         let evaluate =
             |scheme: &Scheme, map: &FaultMap| map.fault_count() as f64 * scheme.word_bits() as f64;
-        let monolithic = campaign
-            .run(&schemes, 19, evaluate, CollectRecords::new)
-            .unwrap();
+        let monolithic = collect(&campaign, &schemes, 19, ShardSpec::solo(), evaluate);
         for shard_count in [1usize, 2, 3, 7, 64] {
             let mut merged = CollectRecords::new();
             for index in 0..shard_count {
                 let shard = ShardSpec::new(index, shard_count).unwrap();
-                let part = campaign
-                    .run_shard(&schemes, 19, shard, evaluate, CollectRecords::new)
-                    .unwrap();
+                let part = collect(&campaign, &schemes, 19, shard, evaluate);
                 merged.merge(part);
             }
             assert_eq!(merged, monolithic, "{shard_count} shards diverge");
@@ -1639,29 +1349,23 @@ mod tests {
         let campaign = Campaign::new(config().with_exact_failures(4));
         let schemes = [Scheme::unprotected32()];
         let evaluate = |_: &Scheme, map: &FaultMap| map.fault_count() as f64;
-        let monolithic = campaign
-            .run(&schemes, 5, evaluate, CollectRecords::new)
-            .unwrap();
+        let monolithic = collect(&campaign, &schemes, 5, ShardSpec::solo(), evaluate);
         let mut merged = CollectRecords::new();
         for index in 0..3 {
-            merged.merge(
-                campaign
-                    .run_shard(
-                        &schemes,
-                        5,
-                        ShardSpec::new(index, 3).unwrap(),
-                        evaluate,
-                        CollectRecords::new,
-                    )
-                    .unwrap(),
-            );
+            merged.merge(collect(
+                &campaign,
+                &schemes,
+                5,
+                ShardSpec::new(index, 3).unwrap(),
+                evaluate,
+            ));
         }
         assert_eq!(merged, monolithic);
     }
 
     #[test]
     fn kernel_kind_parses_and_displays() {
-        assert_eq!(KernelKind::ALL.len(), 5);
+        assert_eq!(KernelKind::ALL.len(), 3);
         for kernel in KernelKind::ALL {
             assert_eq!(kernel.as_str().parse::<KernelKind>().unwrap(), kernel);
             assert_eq!(kernel.to_string(), kernel.as_str());
@@ -1669,20 +1373,22 @@ mod tests {
         assert_eq!(KernelKind::default(), KernelKind::Sparse);
         let error = "simd".parse::<KernelKind>().unwrap_err().to_string();
         assert!(
-            error.contains("scalar|sparse|bitsliced|bitsliced256|auto"),
+            error.contains("sparse|bitsliced256|auto"),
             "the unknown-kernel error must list the full valid set: {error}"
         );
+        for removed in KernelKind::REMOVED {
+            let error = removed.parse::<KernelKind>().unwrap_err().to_string();
+            assert!(
+                error.contains(&format!("kernel '{removed}' was removed")),
+                "{error}"
+            );
+        }
     }
 
     #[test]
     fn auto_kernel_resolves_by_fault_density() {
         // Fixed kernels resolve to themselves regardless of density.
-        for kernel in [
-            KernelKind::Scalar,
-            KernelKind::Sparse,
-            KernelKind::Bitsliced,
-            KernelKind::Bitsliced256,
-        ] {
+        for kernel in [KernelKind::Sparse, KernelKind::Bitsliced256] {
             assert_eq!(kernel.resolve(1e9, 128), kernel);
             assert_eq!(kernel.resolve(0.0, 128), kernel);
         }
@@ -1754,38 +1460,32 @@ mod tests {
                     .with_chunk_size(70)
                     .with_map_policy(policy);
                 let campaign = Campaign::new(base);
-                let reference = campaign
-                    .run(&schemes, 23, count_sample, CollectRecords::new)
-                    .unwrap();
+                let reference = collect(&campaign, &schemes, 23, ShardSpec::solo(), count_sample);
                 for shard_count in [1usize, 3] {
                     let mut merged = CollectRecords::new();
                     let mut merged_wide = CollectRecords::new();
                     for index in 0..shard_count {
                         let shard = ShardSpec::new(index, shard_count).unwrap();
-                        merged.merge(
-                            campaign
-                                .run_shard_blocks(
-                                    &schemes,
-                                    23,
-                                    shard,
-                                    count_sample,
-                                    count_block,
-                                    CollectRecords::new,
-                                )
-                                .unwrap(),
-                        );
-                        merged_wide.merge(
-                            campaign
-                                .run_shard_blocks(
-                                    &schemes,
-                                    23,
-                                    shard,
-                                    count_sample,
-                                    count_block_wide,
-                                    CollectRecords::new,
-                                )
-                                .unwrap(),
-                        );
+                        let (part, _) = campaign
+                            .execute(
+                                &schemes,
+                                23,
+                                shard,
+                                blocks(count_sample, count_block),
+                                CollectRecords::new,
+                            )
+                            .unwrap();
+                        merged.merge(part);
+                        let (part, _) = campaign
+                            .execute(
+                                &schemes,
+                                23,
+                                shard,
+                                blocks(count_sample, count_block_wide),
+                                CollectRecords::new,
+                            )
+                            .unwrap();
+                        merged_wide.merge(part);
                     }
                     assert_eq!(merged, reference, "{kind} {policy:?} {shard_count} shards");
                     assert_eq!(
@@ -1803,25 +1503,24 @@ mod tests {
         // must still match.
         let campaign = Campaign::new(config().with_chunk_size(1));
         let schemes = [Scheme::unprotected32()];
-        let reference = campaign
-            .run(
-                &schemes,
-                3,
-                |_, map| map.fault_count() as f64,
-                CollectRecords::new,
-            )
-            .unwrap();
-        let blocks = campaign
-            .run_shard_blocks::<u64, _, _, _, _>(
+        let reference = collect(&campaign, &schemes, 3, ShardSpec::solo(), |_, map| {
+            map.fault_count() as f64
+        });
+        let (lone, _) = campaign
+            .execute(
                 &schemes,
                 3,
                 ShardSpec::solo(),
-                |_, map| map.fault_count() as f64,
-                |_, _, _| panic!("single-sample groups must use the scalar tail"),
+                blocks(
+                    |_: &Scheme, map: &FaultMap| map.fault_count() as f64,
+                    |_, _: &DieBlock<'_>, _: &mut [f64]| {
+                        panic!("single-sample groups must use the scalar tail")
+                    },
+                ),
                 CollectRecords::new,
             )
             .unwrap();
-        assert_eq!(blocks, reference);
+        assert_eq!(lone, reference);
     }
 
     #[test]
@@ -1836,14 +1535,13 @@ mod tests {
                 .with_max_failures(4)
                 .with_map_policy(MapPolicy::SingleFaultPerRow { max_redraws: 2000 }),
         );
-        let result = campaign
-            .run(
-                &[Scheme::unprotected32()],
-                3,
-                |_, map| map.max_faults_per_row() as f64,
-                CollectRecords::new,
-            )
-            .unwrap();
+        let result = collect(
+            &campaign,
+            &[Scheme::unprotected32()],
+            3,
+            ShardSpec::solo(),
+            |_, map| map.max_faults_per_row() as f64,
+        );
         // Clustered placement collides often; the redraw budget must still
         // deliver single-fault rows for these low counts.
         for record in &result.records {

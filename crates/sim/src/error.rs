@@ -1,6 +1,7 @@
 //! Error types of the simulation pipeline.
 
 use faultmit_memsim::MemError;
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 
@@ -73,6 +74,16 @@ impl<E: Error + 'static> Error for RunError<E> {
 impl<E> From<SimError> for RunError<E> {
     fn from(value: SimError) -> Self {
         RunError::Sim(value)
+    }
+}
+
+/// A run whose evaluator cannot fail can only fail in the pipeline.
+impl From<RunError<Infallible>> for SimError {
+    fn from(value: RunError<Infallible>) -> Self {
+        match value {
+            RunError::Sim(e) => e,
+            RunError::Eval(never) => match never {},
+        }
     }
 }
 

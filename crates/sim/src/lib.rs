@@ -22,10 +22,15 @@
 //! protocol against DRAM-retention, MLC-NVM or user-defined fault
 //! processes.
 //!
+//! [`Campaign::execute`] is the one run entry point. It evaluates one
+//! [`ShardSpec`] of the campaign with an evaluator built by [`per_die`] or
+//! [`blocks`], and returns the merged accumulator with the shard's
+//! [`ShardStats`]:
+//!
 //! ```
 //! use faultmit_core::Scheme;
 //! use faultmit_memsim::MemoryConfig;
-//! use faultmit_sim::{Campaign, CampaignConfig, CollectRecords, Parallelism};
+//! use faultmit_sim::{per_die, Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = CampaignConfig::new(MemoryConfig::new(256, 32)?, 1e-3)?
@@ -34,15 +39,19 @@
 //!     .with_parallelism(Parallelism::threads(2));
 //! let campaign = Campaign::new(config);
 //! let schemes = [Scheme::unprotected32(), Scheme::shuffle32(5)?];
-//! let records = campaign.run(
+//! let (records, stats) = campaign.execute(
 //!     &schemes,
 //!     42,
-//!     |scheme, map| faultmit_core::MitigationScheme::observe(scheme, map, 0, 0).value as f64,
+//!     ShardSpec::solo(),
+//!     per_die(|scheme: &Scheme, map| {
+//!         faultmit_core::MitigationScheme::observe(scheme, map, 0, 0).value as f64
+//!     }),
 //!     CollectRecords::new,
 //! )?;
 //! // 4 failure counts × 5 samples, each evaluated under both schemes.
 //! assert_eq!(records.records.len(), 20);
 //! assert!(records.records.iter().all(|r| r.metrics.len() == 2));
+//! assert!(stats.generation_seconds >= 0.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -53,13 +62,12 @@
 //! [`ShardSpec`] shards whose chunk ranges tile the global plan: each shard
 //! is an independent process (or machine), and shard accumulators merged in
 //! shard order are **bit-identical** to the monolithic run — monolithic
-//! execution is just the `0/1` shard ([`Campaign::run`] delegates to
-//! [`Campaign::run_shard`] with [`ShardSpec::solo`]). In-process:
+//! execution is just the `0/1` shard ([`ShardSpec::solo`]). In-process:
 //!
 //! ```
 //! use faultmit_core::Scheme;
 //! use faultmit_memsim::MemoryConfig;
-//! use faultmit_sim::{Accumulator, Campaign, CampaignConfig, CollectRecords, ShardSpec};
+//! use faultmit_sim::{per_die, Accumulator, Campaign, CampaignConfig, CollectRecords, ShardSpec};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = CampaignConfig::new(MemoryConfig::new(256, 32)?, 1e-3)?
@@ -69,12 +77,12 @@
 //! let campaign = Campaign::new(config);
 //! let schemes = [Scheme::unprotected32()];
 //! let metric = |_: &Scheme, map: &faultmit_memsim::FaultMap| map.fault_count() as f64;
+//! let run = |shard| campaign.execute(&schemes, 7, shard, per_die(metric), CollectRecords::new);
 //!
-//! let monolithic = campaign.run(&schemes, 7, metric, CollectRecords::new)?;
+//! let (monolithic, _) = run(ShardSpec::solo())?;
 //! let mut merged = CollectRecords::new();
 //! for index in 0..3 {
-//!     let shard = ShardSpec::new(index, 3)?;
-//!     merged.merge(campaign.run_shard(&schemes, 7, shard, metric, CollectRecords::new)?);
+//!     merged.merge(run(ShardSpec::new(index, 3)?)?.0);
 //! }
 //! assert_eq!(merged, monolithic); // bit-identical, not just statistically equal
 //! # Ok(())
@@ -112,8 +120,8 @@ pub mod executor;
 
 pub use accumulate::{Accumulator, CollectRecords, PairedSample};
 pub use campaign::{
-    Campaign, CampaignConfig, KernelKind, MapPolicy, ShardSpec, ShardStats,
-    AUTO_FAULTS_PER_ROW_THRESHOLD,
+    blocks, per_die, Blocks, Campaign, CampaignConfig, DieMetric, Evaluator, KernelKind, MapPolicy,
+    PerDie, ShardSpec, ShardStats, AUTO_FAULTS_PER_ROW_THRESHOLD,
 };
 pub use error::{RunError, SimError};
 pub use executor::{run_chunked, run_chunked_with, Parallelism};

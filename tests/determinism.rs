@@ -7,8 +7,8 @@
 use faultmit::analysis::{MonteCarloConfig, MonteCarloEngine};
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::Scheme;
-use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
-use faultmit::sim::{Campaign, CampaignConfig, CollectRecords, Parallelism};
+use faultmit::memsim::{Backend, BackendKind, MemoryConfig, SramVddBackend};
+use faultmit::sim::{per_die, Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec};
 
 const SEED: u64 = 0xD373_1213;
 
@@ -57,26 +57,30 @@ fn raw_record_stream_is_independent_of_chunking_and_workers() {
         .with_max_failures(8);
 
     let reference = Campaign::new(base.with_parallelism(Parallelism::Serial))
-        .run(
+        .execute(
             &schemes,
             SEED,
-            faultmit::analysis::memory_mse,
+            ShardSpec::solo(),
+            per_die(faultmit::analysis::memory_mse),
             CollectRecords::new,
         )
-        .unwrap();
+        .unwrap()
+        .0;
 
     for (workers, chunk_size) in [(2usize, 1usize), (3, 7), (8, 64), (4, 1000)] {
         let variant = Campaign::new(
             base.with_parallelism(Parallelism::threads(workers))
                 .with_chunk_size(chunk_size),
         )
-        .run(
+        .execute(
             &schemes,
             SEED,
-            faultmit::analysis::memory_mse,
+            ShardSpec::solo(),
+            per_die(faultmit::analysis::memory_mse),
             CollectRecords::new,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(
             reference, variant,
             "{workers} workers, chunk size {chunk_size}"
@@ -92,21 +96,25 @@ fn different_seeds_produce_different_populations() {
         .with_samples_per_count(10)
         .with_max_failures(5);
     let a = Campaign::new(config)
-        .run(
+        .execute(
             &scheme,
             1,
-            faultmit::analysis::memory_mse,
+            ShardSpec::solo(),
+            per_die(faultmit::analysis::memory_mse),
             CollectRecords::new,
         )
-        .unwrap();
+        .unwrap()
+        .0;
     let b = Campaign::new(config)
-        .run(
+        .execute(
             &scheme,
             2,
-            faultmit::analysis::memory_mse,
+            ShardSpec::solo(),
+            per_die(faultmit::analysis::memory_mse),
             CollectRecords::new,
         )
-        .unwrap();
+        .unwrap()
+        .0;
     assert_ne!(a, b);
 }
 
@@ -126,13 +134,15 @@ fn every_backend_is_bit_identical_serial_vs_threaded_at_any_chunk_size() {
             .with_max_failures(10);
 
         let reference = Campaign::new(base.with_parallelism(Parallelism::Serial))
-            .run(
+            .execute(
                 &schemes,
                 SEED,
-                faultmit::analysis::memory_mse,
+                ShardSpec::solo(),
+                per_die(faultmit::analysis::memory_mse),
                 CollectRecords::new,
             )
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(reference.records.len(), 120, "{kind}");
 
         for (workers, chunk_size) in [(2usize, 1usize), (4, 7), (8, 64)] {
@@ -140,13 +150,15 @@ fn every_backend_is_bit_identical_serial_vs_threaded_at_any_chunk_size() {
                 base.with_parallelism(Parallelism::threads(workers))
                     .with_chunk_size(chunk_size),
             )
-            .run(
+            .execute(
                 &schemes,
                 SEED,
-                faultmit::analysis::memory_mse,
+                ShardSpec::solo(),
+                per_die(faultmit::analysis::memory_mse),
                 CollectRecords::new,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert_eq!(
                 reference, variant,
                 "{kind}: {workers} workers, chunk size {chunk_size}"
@@ -250,11 +262,13 @@ fn application_quality_campaign_is_bit_identical_serial_vs_threaded() {
             .unwrap()
     };
     let schemes = [Scheme::unprotected32(), Scheme::secded32()];
-    let serial = build(Parallelism::Serial)
-        .quality_cdfs_paired(&schemes, 1e-3, 5, 3, SEED, true)
+    let serial = build(Parallelism::Serial);
+    let backend = SramVddBackend::with_p_cell(serial.memory_config(), 1e-3).unwrap();
+    let serial = serial
+        .quality_cdfs_paired_on(&schemes, &backend, 5, 3, SEED, true)
         .unwrap();
     let threaded = build(Parallelism::threads(4))
-        .quality_cdfs_paired(&schemes, 1e-3, 5, 3, SEED, true)
+        .quality_cdfs_paired_on(&schemes, &backend, 5, 3, SEED, true)
         .unwrap();
     for (a, b) in serial.iter().zip(&threaded) {
         assert_eq!(a.scheme_name, b.scheme_name);
@@ -276,12 +290,7 @@ fn metrics_counter_snapshots_are_bit_identical_serial_vs_threaded() {
     let memory = MemoryConfig::new(256, 32).unwrap();
     let schemes = [Scheme::unprotected32(), Scheme::shuffle32(2).unwrap()];
     for kind in BackendKind::ALL {
-        for kernel in [
-            KernelKind::Scalar,
-            KernelKind::Sparse,
-            KernelKind::Bitsliced,
-            KernelKind::Bitsliced256,
-        ] {
+        for kernel in KernelKind::ALL {
             let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
             let run = |parallelism| {
                 let recorder = std::sync::Arc::new(obs::Recorder::new());

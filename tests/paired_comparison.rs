@@ -13,7 +13,7 @@
 use faultmit::analysis::memory_mse;
 use faultmit::core::{Scheme, SegmentGeometry};
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
-use faultmit::sim::{Campaign, CampaignConfig, CollectRecords, Parallelism};
+use faultmit::sim::{per_die, Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,8 +49,15 @@ fn shuffling_never_exceeds_unprotected_mse_on_shared_dies() {
             .with_max_failures(max_failures)
             .with_parallelism(Parallelism::threads(2));
         let records = Campaign::new(config)
-            .run(&schemes, 0xBEEF ^ case, memory_mse, CollectRecords::new)
-            .unwrap();
+            .execute(
+                &schemes,
+                0xBEEF ^ case,
+                ShardSpec::solo(),
+                per_die(memory_mse),
+                CollectRecords::new,
+            )
+            .unwrap()
+            .0;
 
         assert!(!records.records.is_empty());
         for record in &records.records {
@@ -86,13 +93,15 @@ fn shuffling_never_exceeds_unprotected_mse_on_any_backend() {
                 .with_max_failures(16)
                 .with_parallelism(Parallelism::threads(2));
             let records = Campaign::new(config)
-                .run(
+                .execute(
                     &schemes,
                     0xBAC2 + n_fm as u64,
-                    memory_mse,
+                    ShardSpec::solo(),
+                    per_die(memory_mse),
                     CollectRecords::new,
                 )
-                .unwrap();
+                .unwrap()
+                .0;
 
             assert!(!records.records.is_empty(), "{kind}");
             for record in &records.records {
@@ -121,8 +130,15 @@ fn finer_segments_never_lose_on_shared_single_fault_dies() {
         .with_max_failures(6)
         .with_map_policy(faultmit::sim::MapPolicy::SingleFaultPerRow { max_redraws: 1000 });
     let records = Campaign::new(config)
-        .run(&schemes, 0x51CE, memory_mse, CollectRecords::new)
-        .unwrap();
+        .execute(
+            &schemes,
+            0x51CE,
+            ShardSpec::solo(),
+            per_die(memory_mse),
+            CollectRecords::new,
+        )
+        .unwrap()
+        .0;
 
     for record in &records.records {
         for pair in record.metrics.windows(2) {

@@ -4,7 +4,7 @@
 
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::Scheme;
-use faultmit::memsim::{Fault, FaultMap, FaultMapSampler};
+use faultmit::memsim::{Fault, FaultMap, FaultMapSampler, SramVddBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -137,9 +137,11 @@ fn quality_cdf_campaign_produces_weighted_distributions() {
         .memory_rows(256)
         .build()
         .unwrap();
+    let backend = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
     let result = eval
-        .quality_cdf(&Scheme::shuffle32(1).unwrap(), 1e-3, 4, 3, 17)
-        .unwrap();
+        .quality_cdfs_paired_on(&[Scheme::shuffle32(1).unwrap()], &backend, 4, 3, 17, false)
+        .unwrap()
+        .remove(0);
     assert!(result.baseline_quality > 0.5);
     assert!(!result.cdf.is_empty());
     // Normalised quality lives in [0, 1].

@@ -9,7 +9,7 @@ use faultmit::analysis::{CatalogueAccumulator, MonteCarloConfig, MonteCarloEngin
 use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
 use faultmit::sim::{
-    Accumulator, Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec,
+    per_die, Accumulator, Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec,
 };
 
 const SEED: u64 = 0x5AAD_0003;
@@ -32,13 +32,15 @@ fn every_backend_shards_bit_identically_at_every_split() {
                 .with_chunk_size(5),
         );
         let monolithic = campaign
-            .run(
+            .execute(
                 &schemes,
                 SEED,
-                faultmit::analysis::memory_mse,
+                ShardSpec::solo(),
+                per_die(faultmit::analysis::memory_mse),
                 CollectRecords::new,
             )
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(monolithic.records.len(), 120, "{kind}");
 
         for shard_count in SHARD_COUNTS {
@@ -47,14 +49,15 @@ fn every_backend_shards_bit_identically_at_every_split() {
                 let shard = ShardSpec::new(index, shard_count).unwrap();
                 merged.merge(
                     campaign
-                        .run_shard(
+                        .execute(
                             &schemes,
                             SEED,
                             shard,
-                            faultmit::analysis::memory_mse,
+                            per_die(faultmit::analysis::memory_mse),
                             CollectRecords::new,
                         )
-                        .unwrap(),
+                        .unwrap()
+                        .0,
                 );
             }
             assert_eq!(merged, monolithic, "{kind}: {shard_count} shards diverge");
@@ -81,7 +84,12 @@ fn engine_shard_states_merge_bit_identically_for_every_backend() {
             let mut merged = CatalogueAccumulator::new(schemes.len());
             for index in 0..shard_count {
                 let shard = ShardSpec::new(index, shard_count).unwrap();
-                merged.merge(engine.run_catalogue_shard(&schemes, SEED, shard).unwrap());
+                merged.merge(
+                    engine
+                        .run_catalogue_shard(&schemes, SEED, shard, None)
+                        .unwrap()
+                        .0,
+                );
             }
             let results = engine.results_from_state(&schemes, merged).unwrap();
             for (a, b) in monolithic.iter().zip(&results) {
@@ -139,7 +147,12 @@ fn data_image_campaigns_shard_bit_identically() {
             let mut merged = CatalogueAccumulator::new(schemes.len());
             for index in 0..shard_count {
                 let shard = ShardSpec::new(index, shard_count).unwrap();
-                merged.merge(engine.run_catalogue_shard(&schemes, SEED, shard).unwrap());
+                merged.merge(
+                    engine
+                        .run_catalogue_shard(&schemes, SEED, shard, None)
+                        .unwrap()
+                        .0,
+                );
             }
             let results = engine.results_from_state(&schemes, merged).unwrap();
             for (a, b) in monolithic.iter().zip(&results) {
@@ -173,23 +186,25 @@ fn shards_are_worker_count_independent() {
             .with_chunk_size(3);
         let shard = ShardSpec::new(1, 3).unwrap();
         let serial = Campaign::new(base.with_parallelism(Parallelism::Serial))
-            .run_shard(
+            .execute(
                 &schemes,
                 SEED,
                 shard,
-                faultmit::analysis::memory_mse,
+                per_die(faultmit::analysis::memory_mse),
                 CollectRecords::new,
             )
-            .unwrap();
+            .unwrap()
+            .0;
         let threaded = Campaign::new(base.with_parallelism(Parallelism::threads(4)))
-            .run_shard(
+            .execute(
                 &schemes,
                 SEED,
                 shard,
-                faultmit::analysis::memory_mse,
+                per_die(faultmit::analysis::memory_mse),
                 CollectRecords::new,
             )
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(serial, threaded, "{kind}");
         // The shard evaluated exactly its own sample range.
         let range = Campaign::new(base).shard_sample_range(shard).unwrap();
