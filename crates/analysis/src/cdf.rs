@@ -303,6 +303,12 @@ impl EmpiricalCdf {
 
     /// Evaluates the CDF at a grid of points, returning `(x, P(X ≤ x))`
     /// pairs — the series plotted in Fig. 5 / Fig. 7.
+    ///
+    /// Each grid point is a full [`EmpiricalCdf::probability_at_or_below`]
+    /// scan on purpose: its mass is summed in insertion order, and a
+    /// sorted cumulative sum would add the same weights in another order
+    /// and change the figure bytes. The cost is `O(grid · n)`, which is
+    /// linear in samples for the fixed grids the figures use.
     #[must_use]
     pub fn evaluate_at(&self, grid: &[f64]) -> Vec<(f64, f64)> {
         grid.iter()

@@ -18,6 +18,7 @@
 use crate::cdf::EmpiricalCdf;
 use crate::error::AnalysisError;
 use faultmit_memsim::FailureCountDistribution;
+use faultmit_obs as obs;
 use std::collections::BTreeMap;
 
 /// A `(target yield, tolerated quality)` pair, e.g. "99.9999 % of dies have
@@ -121,15 +122,22 @@ impl YieldModel {
 
     /// The yield at quality constraint `q_max`: `Σ_n Pr(N = n) · Pr(Q ≤ q_max | N = n)`
     /// over `n = 0` and every sampled failure count (Eq. (5)).
+    ///
+    /// Every call scans each recorded observation once and adds that many
+    /// to [`obs::Counter::YieldObservationsVisited`], the deterministic work
+    /// count the threshold search's complexity gate reads.
     #[must_use]
     pub fn yield_at_quality(&self, q_max: f64) -> f64 {
         let mut total = self.distribution.pmf(0) * self.conditional_pass_probability(0, q_max);
+        let mut visited = 0;
         for (&n, cdf) in &self.per_count {
             if cdf.is_empty() {
                 continue;
             }
+            visited += cdf.len();
             total += self.distribution.pmf(n) * cdf.probability_at_or_below(q_max);
         }
+        obs::count(obs::Counter::YieldObservationsVisited, visited as u64);
         total.min(1.0)
     }
 
@@ -145,15 +153,52 @@ impl YieldModel {
     /// Returns `None` when the target cannot be reached even when tolerating
     /// the worst observed quality (e.g. because unsampled failure counts
     /// carry too much probability mass).
+    ///
+    /// # Why a binary search returns the linear scan's answer
+    ///
+    /// The candidates are the sorted, deduplicated observed values, and the
+    /// answer is the first candidate whose [`yield_at_quality`] reaches the
+    /// target. A binary search finds that same candidate, bit for bit,
+    /// because `yield_at_quality` is monotone non-decreasing in `q` even in
+    /// floating point:
+    ///
+    /// * every stored weight is positive, and an observation above `q`
+    ///   contributes nothing, so raising `q` only turns skipped terms into
+    ///   non-negative ones inside the same insertion-order sum;
+    /// * rounded addition is monotone in each operand, so each partial sum
+    ///   (and the per-count mass) can only grow;
+    /// * dividing by the fixed `total_weight`, multiplying by a
+    ///   non-negative `pmf(n)`, summing over counts in key order and the
+    ///   final `min(1.0)` are all monotone as well.
+    ///
+    /// So "does not reach the target" holds on a prefix of the candidates
+    /// and [`slice::partition_point`] lands on the first one that does,
+    /// after `O(log n)` evaluations of Eq. (5) instead of `O(n)` — the query
+    /// costs `O(n log n)` rather than `O(n²)`. The arithmetic per candidate
+    /// is unchanged; a prefix-sum sweep over sorted values would reorder the
+    /// float additions and is deliberately not used. The predicate is the
+    /// negation of "reaches", so a NaN target (which reaches nothing) still
+    /// yields `None`.
+    ///
+    /// [`yield_at_quality`]: YieldModel::yield_at_quality
     #[must_use]
     pub fn quality_for_yield(&self, target_yield: f64) -> Option<QualityBand> {
-        if self.yield_at_quality(0.0) >= target_yield {
-            return Some(QualityBand {
-                target_yield,
-                max_quality: 0.0,
-            });
-        }
-        // Candidate thresholds are the observed sample values themselves.
+        let reaches = |q: f64| self.yield_at_quality(q) >= target_yield;
+        let max_quality = if reaches(0.0) {
+            0.0
+        } else {
+            let thresholds = self.candidate_thresholds();
+            *thresholds.get(thresholds.partition_point(|&q| !reaches(q)))?
+        };
+        Some(QualityBand {
+            target_yield,
+            max_quality,
+        })
+    }
+
+    /// Candidate thresholds for [`YieldModel::quality_for_yield`]: the
+    /// finite observed sample values, sorted and deduplicated.
+    fn candidate_thresholds(&self) -> Vec<f64> {
         let mut thresholds: Vec<f64> = self
             .per_count
             .values()
@@ -163,12 +208,24 @@ impl YieldModel {
         thresholds.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         thresholds.dedup();
         thresholds
-            .into_iter()
-            .find(|&q| self.yield_at_quality(q) >= target_yield)
-            .map(|max_quality| QualityBand {
-                target_yield,
-                max_quality,
-            })
+    }
+
+    /// The linear-scan form of [`YieldModel::quality_for_yield`]: the test
+    /// oracle the binary search is pinned against.
+    #[cfg(test)]
+    fn quality_for_yield_linear(&self, target_yield: f64) -> Option<QualityBand> {
+        let reaches = |q: f64| self.yield_at_quality(q) >= target_yield;
+        let max_quality = if reaches(0.0) {
+            0.0
+        } else {
+            self.candidate_thresholds()
+                .into_iter()
+                .find(|&q| reaches(q))?
+        };
+        Some(QualityBand {
+            target_yield,
+            max_quality,
+        })
     }
 
     /// The combined, weighted quality CDF over all dies (the Fig. 5 series):
@@ -218,6 +275,9 @@ impl YieldModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn distribution() -> FailureCountDistribution {
         // Small memory: 1000 cells at P_cell = 1e-3 → mean 1 failure.
@@ -314,5 +374,163 @@ mod tests {
             assert!(window[1].target_yield >= window[0].target_yield);
             assert!(window[1].max_quality >= window[0].max_quality);
         }
+    }
+
+    /// A random model in the shapes the search must handle: tied and
+    /// duplicated values, `-0.0` beside `0.0`, empty per-count CDFs and
+    /// failure counts that were never sampled.
+    fn random_model(rng: &mut StdRng) -> YieldModel {
+        let cells = rng.gen_range(50usize..2000);
+        let p_cell = [1e-4, 1e-3, 5e-3, 2e-2][rng.gen_range(0usize..4)];
+        let mut per_count = BTreeMap::new();
+        for n in 1..=rng.gen_range(1u64..8) {
+            match rng.gen_range(0..6) {
+                0 => continue, // unsampled
+                1 => {
+                    per_count.insert(n, EmpiricalCdf::new());
+                }
+                _ => {
+                    let mut cdf = EmpiricalCdf::new();
+                    for _ in 0..rng.gen_range(1..40) {
+                        let value = match rng.gen_range(0..5) {
+                            0 => -0.0,
+                            1 => 0.0,
+                            2 => f64::from(rng.gen_range(1u32..6)),
+                            3 => rng.gen::<f64>() * 1e6,
+                            _ => -f64::from(rng.gen_range(1u32..3)),
+                        };
+                        let weight = if rng.gen() {
+                            1.0
+                        } else {
+                            rng.gen_range(0.01..10.0)
+                        };
+                        cdf.add(value, weight);
+                    }
+                    per_count.insert(n, cdf);
+                }
+            }
+        }
+        YieldModel::from_per_count(
+            FailureCountDistribution::new(cells, p_cell).unwrap(),
+            per_count,
+        )
+    }
+
+    fn band_bits(band: Option<QualityBand>) -> Option<(u64, u64)> {
+        band.map(|b| (b.target_yield.to_bits(), b.max_quality.to_bits()))
+    }
+
+    /// The binary search returns the linear scan's band bit for bit, over a
+    /// seeded sweep of models and targets that covers every edge the
+    /// monotonicity argument has to survive.
+    #[test]
+    fn threshold_search_matches_the_linear_scan_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x5EA2C4);
+        let (mut unreachable, mut short_circuits, mut exact_steps, mut signed_zeros) = (0, 0, 0, 0);
+        for _ in 0..256 {
+            let model = random_model(&mut rng);
+            let candidates = model.candidate_thresholds();
+            let yields: Vec<f64> = candidates
+                .iter()
+                .map(|&q| model.yield_at_quality(q))
+                .collect();
+            // The search is only valid because Eq. (5) never decreases
+            // along the sorted candidates.
+            assert!(yields.windows(2).all(|w| w[0] <= w[1]), "{yields:?}");
+            let values: Vec<f64> = model
+                .per_count_cdfs()
+                .values()
+                .flat_map(|cdf| cdf.samples().map(|(value, _)| value))
+                .collect();
+            if values.iter().any(|v| v.to_bits() == (-0.0f64).to_bits())
+                && values.iter().any(|v| v.to_bits() == 0.0f64.to_bits())
+            {
+                signed_zeros += 1;
+            }
+
+            let at_zero = model.yield_at_quality(0.0);
+            let top = yields.last().copied().unwrap_or(at_zero);
+            let mut targets = vec![
+                at_zero,
+                top,
+                f64::from_bits(top.to_bits() + 1),
+                rng.gen::<f64>(),
+                0.0,
+                1.0,
+                -0.5,
+                f64::NAN,
+            ];
+            let steps = yields.iter().filter(|&&y| y > at_zero);
+            targets.extend(steps.clone().step_by(3).copied());
+            exact_steps += steps.count();
+            for target in targets {
+                let search = model.quality_for_yield(target);
+                let oracle = model.quality_for_yield_linear(target);
+                assert_eq!(band_bits(search), band_bits(oracle), "target {target}");
+                match search {
+                    None => unreachable += 1,
+                    Some(band) if at_zero >= target => {
+                        assert_eq!(band.max_quality.to_bits(), 0.0f64.to_bits());
+                        short_circuits += 1;
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        for (case, hits) in [
+            ("unreachable target", unreachable),
+            ("short-circuit at 0", short_circuits),
+            ("exact yield step", exact_steps),
+            ("-0.0 beside 0.0", signed_zeros),
+        ] {
+            assert!(hits > 0, "the sweep never exercised: {case}");
+        }
+    }
+
+    /// `n` observations spread over eight failure counts; a 90 % target
+    /// lands about 40 % of the way through the sorted candidates at every
+    /// scale.
+    fn synthetic_model(observations: usize) -> YieldModel {
+        let per_count_samples = observations / 8;
+        let mut model = YieldModel::new(FailureCountDistribution::new(1000, 2e-3).unwrap());
+        for n in 1..=8u64 {
+            let base = (n as usize - 1) * per_count_samples;
+            model.add_samples(n, (base..base + per_count_samples).map(|v| v as f64));
+        }
+        model
+    }
+
+    /// Observations `query` scans to answer a 90 % target on a model of
+    /// `observations` samples, read from the obs counter.
+    fn visits(query: fn(&YieldModel, f64) -> Option<QualityBand>, observations: usize) -> u64 {
+        let model = synthetic_model(observations);
+        let recorder = Arc::new(obs::Recorder::new());
+        let band = {
+            let _guard = obs::install(&recorder);
+            query(&model, 0.9)
+        };
+        assert!(band.is_some_and(|band| band.max_quality > 0.0));
+        recorder
+            .snapshot()
+            .counter(obs::Counter::YieldObservationsVisited)
+    }
+
+    /// Complexity gate, no stopwatch: quadrupling the observations may at
+    /// most ~4.8x the search's work (`O(n log n)`); the linear scan's
+    /// `O(n²)` grows ~16x and fails the same bound.
+    #[test]
+    fn threshold_search_work_grows_n_log_n() {
+        const N: usize = 1000;
+        let ratio = |query| visits(query, 4 * N) as f64 / visits(query, N) as f64;
+        let search = ratio(YieldModel::quality_for_yield);
+        assert!(
+            search <= 6.0,
+            "search visits grew {search:.2}x at 4x samples"
+        );
+        let oracle = ratio(YieldModel::quality_for_yield_linear);
+        assert!(
+            oracle > 6.0,
+            "the gate no longer separates the linear scan ({oracle:.2}x)"
+        );
     }
 }

@@ -734,12 +734,14 @@ pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
     check_identity_flags(&spec, &options)?;
     // The metrics recorder is installed only when --metrics asks for a
     // report: panel states never read metrics, so the figure JSON is
-    // byte-identical either way, and the default run records nothing.
+    // byte-identical either way, and the default run records nothing. It
+    // stays installed through render and serialisation so the report
+    // accounts for them; `elapsed_seconds` remains the campaign's time.
     let recorder = options
         .metrics_path
         .as_ref()
         .map(|_| std::sync::Arc::new(faultmit_obs::Recorder::new()));
-    let guard = recorder.as_ref().map(faultmit_obs::install);
+    let _guard = recorder.as_ref().map(faultmit_obs::install);
     let started = std::time::Instant::now();
     let run = figure.run_shard_tuned(
         &spec,
@@ -748,24 +750,47 @@ pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
         ShardSpec::solo(),
     )?;
     let elapsed_seconds = started.elapsed().as_secs_f64();
-    drop(guard);
-    let rendered = figure.render(&spec, options.parallelism(), run.panels)?;
+    let rendered = {
+        let _span = faultmit_obs::span(faultmit_obs::Stage::Render);
+        figure.render(&spec, options.parallelism(), run.panels)?
+    };
     print!("{}", rendered.report);
     if let Some(generation_seconds) = run.generation_seconds {
         println!("generation time: {generation_seconds:.2}s CPU across all workers");
     }
-    options.write_json(&rendered.document)?;
+    {
+        let _span = faultmit_obs::span(faultmit_obs::Stage::Serialize);
+        options.write_json(&rendered.document)?;
+    }
     if let Some(recorder) = recorder {
         let metrics = crate::metrics::ShardMetrics {
             elapsed_seconds: Some(elapsed_seconds),
             generation_seconds: run.generation_seconds,
-            kernel: figure.resolved_kernel_tuned(&spec, options.tuning()),
+            kernel: report_kernel(figure, &spec, &options),
             auto_threshold: options.auto_threshold,
             snapshot: Some(recorder.snapshot()),
         };
         options.write_metrics(&metrics)?;
     }
     Ok(())
+}
+
+/// The kernel a monolithic run of `spec` executed, for its `--metrics`
+/// report. A run without `--kernel` records no kernel in its spec — so
+/// checkpoint identity and kernel strings are untouched — yet its engines
+/// run the default kernel; the report names it by resolving the spec the
+/// figure builds when that kernel is passed explicitly. Figures without a
+/// kernel normalise the flag away and keep `None`.
+fn report_kernel(
+    figure: &dyn FigureDef,
+    spec: &FigureSpec,
+    options: &RunOptions,
+) -> Option<String> {
+    let explicit = RunOptions {
+        kernel: Some(spec.kernel_kind()),
+        ..options.clone()
+    };
+    figure.resolved_kernel_tuned(&figure.spec(&explicit), options.tuning())
 }
 
 #[cfg(test)]

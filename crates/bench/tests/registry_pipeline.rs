@@ -198,6 +198,76 @@ fn campaign_run_reuses_checkpoints_and_recovers_a_corrupted_shard() {
     assert_eq!(read(&mono), read(&merged));
 }
 
+/// A monolithic `--metrics` report names the kernel the campaign ran —
+/// also on a default run without `--kernel` — keeps `null` for figures
+/// without one, and times render and serialisation without moving a byte
+/// of the figure JSON.
+#[test]
+fn monolithic_metrics_report_names_the_kernel_and_times_render() {
+    use faultmit_bench::json::JsonValue;
+    let dir = TempDir::new("metrics");
+    let cases: [(&str, &[&str], Option<&str>); 3] = [
+        (
+            env!("CARGO_BIN_EXE_fig5_mse_cdf"),
+            &["--samples", "2"],
+            Some("sparse"),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig5_mse_cdf"),
+            &["--samples", "2", "--kernel", "auto"],
+            Some("auto:sparse"),
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1_applications"),
+            &["--samples", "32"],
+            None,
+        ),
+    ];
+    for (i, (binary, flags, kernel)) in cases.into_iter().enumerate() {
+        let (off, on, metrics) = (
+            dir.join(&format!("off-{i}.json")),
+            dir.join(&format!("on-{i}.json")),
+            dir.join(&format!("metrics-{i}.json")),
+        );
+        let mut args = flags.to_vec();
+        args.extend(["--json", &off]);
+        run(binary, &args);
+        let mut args = flags.to_vec();
+        args.extend(["--json", &on, "--metrics", &metrics]);
+        run(binary, &args);
+        assert_eq!(
+            read(&off),
+            read(&on),
+            "{flags:?}: metrics moved the figure JSON"
+        );
+
+        let report = JsonValue::parse(&read(&metrics)).unwrap();
+        let telemetry = report.get("telemetry").unwrap();
+        assert_eq!(
+            telemetry.get("kernel").and_then(JsonValue::as_str),
+            kernel,
+            "{flags:?}"
+        );
+        let stages = report.get("derived").unwrap().get("stage_seconds").unwrap();
+        for stage in ["render", "serialize"] {
+            let calls = stages.get(stage).and_then(|s| s.get("calls"));
+            assert_eq!(
+                calls.and_then(JsonValue::as_u64),
+                Some(1),
+                "{flags:?}: {stage}"
+            );
+        }
+        let visited = telemetry
+            .get("snapshot")
+            .and_then(|s| s.get("counters"))
+            .and_then(|c| c.get("yield_observations_visited"))
+            .and_then(JsonValue::as_u64)
+            .unwrap();
+        // fig5 renders yield bands; table1 makes no yield query.
+        assert_eq!(visited > 0, kernel.is_some(), "{flags:?}: {visited}");
+    }
+}
+
 #[test]
 fn campaign_run_lists_the_registry() {
     let output = run(RUN_BIN, &["--figure", "list"]);

@@ -274,11 +274,13 @@ fn merge_rejects_mismatched_or_incomplete_shard_sets() {
 /// kernels were removed: its metrics snapshot still carries the
 /// `dispatch_scalar` and `dispatch_bitsliced` counters. It must keep
 /// loading — the snapshot reader takes only the counters it knows — and its
-/// panel state must still equal a fresh evaluation of the same shard.
+/// panel state must still equal a fresh evaluation of the same shard. It
+/// also predates the `render`/`serialize` stages and the
+/// `yield_observations_visited` counter, which must read as zero.
 #[test]
 fn v3_checkpoints_with_removed_dispatch_counters_still_load() {
     use faultmit_bench::figures::{find_figure, EngineTuning};
-    use faultmit_obs::Counter;
+    use faultmit_obs::{Counter, Stage};
     let text = read(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/fig5-sparse-v3-0of8.json"
@@ -291,6 +293,12 @@ fn v3_checkpoints_with_removed_dispatch_counters_still_load() {
     // Shard 0/8 of this 24-sample campaign owns no chunk: its panel is the
     // empty catalogue state.
     assert_eq!(snapshot.counter(Counter::SamplesEvaluated), 0);
+    assert!(snapshot.stage_calls(Stage::Plan) > 0);
+    for stage in [Stage::Render, Stage::Serialize] {
+        assert_eq!(snapshot.stage_nanos[stage as usize], 0);
+        assert_eq!(snapshot.stage_calls(stage), 0);
+    }
+    assert_eq!(snapshot.counter(Counter::YieldObservationsVisited), 0);
 
     let run = find_figure("fig5")
         .unwrap()

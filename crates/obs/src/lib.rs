@@ -128,13 +128,17 @@ pub enum Counter {
     EccCleanDecodes,
     /// ECC reads of fault-bearing rows that ran the full decoder.
     EccFullDecodes,
+    /// Observations scanned by Eq. (5) yield evaluations
+    /// (`analysis::YieldModel::yield_at_quality`); the work count behind
+    /// the yield-threshold search's complexity gate.
+    YieldObservationsVisited,
     /// Generation calls that grew a scratch container (warm-up, or a
     /// steady-state regression). Per-worker, therefore host-dependent.
     ReallocEvents,
 }
 
 /// Number of [`Counter`] variants (the length of [`Counter::ALL`]).
-pub const COUNTER_COUNT: usize = 17;
+pub const COUNTER_COUNT: usize = 18;
 
 impl Counter {
     /// Every counter, in declaration (and serialisation) order.
@@ -155,6 +159,7 @@ impl Counter {
         Self::ObserveFallbackDies,
         Self::EccCleanDecodes,
         Self::EccFullDecodes,
+        Self::YieldObservationsVisited,
         Self::ReallocEvents,
     ];
 
@@ -178,6 +183,7 @@ impl Counter {
             Self::ObserveFallbackDies => "observe_fallback_dies",
             Self::EccCleanDecodes => "ecc_clean_decodes",
             Self::EccFullDecodes => "ecc_full_decodes",
+            Self::YieldObservationsVisited => "yield_observations_visited",
             Self::ReallocEvents => "realloc_events",
         }
     }
@@ -247,10 +253,15 @@ pub enum Stage {
     Reduce,
     /// Merging chunk (or shard) results in deterministic order.
     Merge,
+    /// Rendering merged panel states into the figure document (CDF
+    /// grids, yield queries, report text).
+    Render,
+    /// Serialising the figure document and writing it to disk.
+    Serialize,
 }
 
 /// Number of [`Stage`] variants.
-pub const STAGE_COUNT: usize = 6;
+pub const STAGE_COUNT: usize = 8;
 
 impl Stage {
     /// Every stage, in pipeline order.
@@ -261,6 +272,8 @@ impl Stage {
         Self::Observe,
         Self::Reduce,
         Self::Merge,
+        Self::Render,
+        Self::Serialize,
     ];
 
     /// The stage's stable snake_case JSON key.
@@ -273,6 +286,8 @@ impl Stage {
             Self::Observe => "observe",
             Self::Reduce => "reduce",
             Self::Merge => "merge",
+            Self::Render => "render",
+            Self::Serialize => "serialize",
         }
     }
 }
