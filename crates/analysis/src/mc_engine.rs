@@ -19,7 +19,7 @@ use crate::yield_model::YieldModel;
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{
     DieBlock, FailureCountDistribution, FaultBackend, ImageSpec, MemoryConfig, OperatingPoint,
-    SramVddBackend, W256,
+    SramVddBackend,
 };
 use faultmit_obs as obs;
 use faultmit_sim::{
@@ -173,7 +173,7 @@ impl<B: FaultBackend> MonteCarloConfig<B> {
     ///
     /// All kernels accumulate **bit-identical** results — the choice only
     /// trades throughput: `sparse` is event-driven, `bitsliced256`
-    /// evaluates up to 256 dies per [`W256`] lane, and `auto` resolves to
+    /// evaluates up to 256 dies per [`W256`](faultmit_memsim::W256) lane, and `auto` resolves to
     /// `sparse` or `bitsliced256` from the campaign's expected fault
     /// density before any sampling happens (see
     /// [`MonteCarloConfig::resolved_kernel`]).
@@ -499,7 +499,7 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
             }
             KernelKind::Bitsliced256 => {
                 obs::count(obs::Counter::DispatchBitsliced256, 1);
-                let block = |scheme: &S, block: &DieBlock<'_, W256>, out: &mut [f64]| {
+                let block = |scheme: &S, block: &DieBlock<'_>, out: &mut [f64]| {
                     block_mse_into(scheme, block, &written, out);
                 };
                 campaign.execute(schemes, seed, shard, blocks(metric, block), accumulator)

@@ -28,8 +28,8 @@
 //! per-row contributions in ascending row order, so their results are
 //! **bit-identical** (the `kernel_equivalence` integration suite pins this).
 
-use faultmit_core::{BlockLane, MitigationScheme};
-use faultmit_memsim::{DieBlock, Fault, FaultKind, FaultMap, ResidualLanes};
+use faultmit_core::MitigationScheme;
+use faultmit_memsim::{DieBlock, Fault, FaultKind, FaultMap, ResidualLanes, W256};
 use faultmit_obs as obs;
 
 /// Exact `4^b` for every data-bit position, precomputed so the hot
@@ -174,31 +174,28 @@ where
 /// transposed [`DieBlock`] in one walk over its faulty rows, writing die
 /// `j`'s MSE to `out[j]`.
 ///
-/// Generic over the [`Lane`](faultmit_memsim::Lane) width `L` (`u64` = 64
-/// dies, `W256` = 256): per
-/// row the scheme's lane-parallel block observer — selected by width
-/// through [`BlockLane::observe_block_on`] — produces per-data-bit
+/// Per row the scheme's lane-parallel block observer
+/// ([`MitigationScheme::observe_block`]) produces per-data-bit
 /// residual-error lanes; the reduction then scatters each residual lane's
 /// `4^col` weight into per-die row partials in ascending column order,
 /// touching every residual bit exactly once. Bit-identity with the sparse
-/// kernel holds by construction at every width: the visit set is fault
+/// kernel holds by construction: the visit set is fault
 /// **presence** per die (exactly the rows `rows_with_faults` hands the
 /// sparse kernel), rows are walked in the same ascending order, each die's
 /// sum starts from the same `-0.0` IEEE additive identity, and the
 /// column-order scatter folds the identical diff bits in the identical
 /// LSB-first order `word_squared_error(0, diff)` would. Schemes without a
-/// block path at width `L` fall back to their sparse path per die.
+/// block path fall back to their sparse path per die.
 ///
 /// # Panics
 ///
 /// Panics if `out` is shorter than the block's die count, or if the scheme
 /// provides neither a block nor a sparse path (block evaluation requires a
 /// sparse-capable scheme).
-pub fn block_mse_into<S, W, L>(scheme: &S, block: &DieBlock<'_, L>, written: W, out: &mut [f64])
+pub fn block_mse_into<S, W>(scheme: &S, block: &DieBlock<'_>, written: W, out: &mut [f64])
 where
     S: MitigationScheme + ?Sized,
     W: Fn(usize) -> u64,
-    L: BlockLane,
 {
     let dies = block.die_count();
     assert!(
@@ -210,15 +207,13 @@ where
     // One running sum per die, each starting from the -0.0 additive
     // identity the scalar kernels fold from. Stack storage sized by the
     // lane width: the block path allocates nothing in steady state.
-    let mut totals = L::die_array(-0.0f64);
-    let totals = totals.as_mut();
+    let mut totals = [-0.0f64; W256::LANES];
     // Per-row squared-error partials, scattered column-by-column so every
     // residual bit is touched exactly once (a per-die `gather_die` walk
     // would re-scan the full column mask once per dirty die). Entries are
     // cleared sparsely through the seen-die mask after each row.
-    let mut row_err = L::die_array(0.0f64);
-    let row_err = row_err.as_mut();
-    let mut residual = ResidualLanes::<L>::new();
+    let mut row_err = [0.0f64; W256::LANES];
+    let mut residual = ResidualLanes::new();
     // Block-observer vs whole-row-fallback tallies, flushed once per block.
     let mut block_rows = 0u64;
     let mut fallback_rows = 0u64;
@@ -226,7 +221,7 @@ where
     for row in block.rows() {
         let stored = written(row.row);
         residual.clear();
-        if L::observe_block_on(scheme, row.cells, stored, &mut residual) {
+        if scheme.observe_block(row.cells, stored, &mut residual) {
             block_rows += 1;
         } else {
             // Per-die fallback through the sparse path: rebuild each dirty
@@ -256,14 +251,14 @@ where
                 while diff != 0 {
                     let col = diff.trailing_zeros() as usize;
                     diff &= diff - 1;
-                    residual.accumulate(col, L::lane_bit(die));
+                    residual.accumulate(col, W256::lane_bit(die));
                 }
             });
         }
         // Scatter the residual into per-die partials in ascending column
         // order — the same LSB-first `4^b` fold `word_squared_error` applies
         // to a gathered diff, so each partial is bit-identical to it.
-        let mut seen = L::ZERO;
+        let mut seen = W256::ZERO;
         let mut mask = residual.colmask();
         while mask != 0 {
             let col = mask.trailing_zeros() as usize;
@@ -460,10 +455,10 @@ mod tests {
         }
     }
 
-    /// The width-generic body of the block bit-identity sweep: every die of
-    /// a `dies`-sample block must reproduce the sparse kernel's MSE bit for
+    /// Every die of a block must reproduce the sparse kernel's MSE bit for
     /// bit, across backends, kind laws and catalogue schemes.
-    fn check_block_kernel_against_sparse<L: BlockLane>(dies: u64) {
+    #[test]
+    fn block_kernel_is_bit_identical_to_the_sparse_kernel() {
         use faultmit_memsim::{
             Backend, BackendKind, BlockScratch, DieScratch, FaultKindLaw, PlannedSample,
             StreamSeeder,
@@ -486,13 +481,15 @@ mod tests {
                     .unwrap()
                     .with_kind_law(law)
                     .unwrap();
-                let plan: Vec<PlannedSample> = (0..dies)
+                // Not a multiple of 64, so dies in every W256 word (and a
+                // ragged last word) are exercised.
+                let plan: Vec<PlannedSample> = (0..201)
                     .map(|index| PlannedSample {
                         index,
                         n_faults: 1 + (index * 5) % 30,
                     })
                     .collect();
-                let mut scratch = BlockScratch::<L>::new(config);
+                let mut scratch = BlockScratch::new(config);
                 let block = scratch
                     .generate_block(&backend, &seeder, &plan, None)
                     .unwrap();
@@ -515,19 +512,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn block_kernel_is_bit_identical_to_the_sparse_kernel() {
-        // A deliberately non-multiple-of-64 block size.
-        check_block_kernel_against_sparse::<u64>(37);
-    }
-
-    #[test]
-    fn wide_block_kernel_is_bit_identical_to_the_sparse_kernel() {
-        // More dies than a u64 lane holds, not a multiple of 64, so dies in
-        // every W256 word (and a ragged tail) are exercised.
-        check_block_kernel_against_sparse::<faultmit_memsim::W256>(201);
     }
 
     #[test]
@@ -572,10 +556,11 @@ mod tests {
         let config = MemoryConfig::new(64, 32).unwrap();
         let seeder = StreamSeeder::new(11);
         let backend = Backend::at_p_cell(BackendKind::Sram, config, 1e-3).unwrap();
-        let plan: Vec<PlannedSample> = (0..16u64)
+        // Dies in every W256 word take the fallback.
+        let plan: Vec<PlannedSample> = (0..150u64)
             .map(|index| PlannedSample { index, n_faults: 8 })
             .collect();
-        let mut scratch = BlockScratch::<u64>::new(config);
+        let mut scratch = BlockScratch::new(config);
         let block = scratch
             .generate_block(&backend, &seeder, &plan, None)
             .unwrap();
@@ -584,15 +569,6 @@ mod tests {
         let mut expected = vec![0.0f64; plan.len()];
         block_mse_into(&Scheme::unprotected32(), &block, |_| 0, &mut expected);
         for (a, b) in out.iter().zip(&expected) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // The wide kernel takes the same per-die fallback: SparseOnly has
-        // no observe_block_wide either.
-        let mut wide = BlockScratch::<faultmit_memsim::W256>::new(config);
-        let block = wide.generate_block(&backend, &seeder, &plan, None).unwrap();
-        let mut wide_out = vec![0.0f64; plan.len()];
-        block_mse_into(&SparseOnly, &block, |_| 0, &mut wide_out);
-        for (a, b) in wide_out.iter().zip(&expected) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -19,7 +19,7 @@ use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_core::{rotate_left, rotate_right, Scheme, SegmentGeometry, ShuffledMemory};
 use faultmit_ecc::{HammingSecded, PriorityEcc, SecdedCode};
 use faultmit_memsim::{
-    Backend, BackendKind, BlockScratch, DieScratch, Fault, FaultMap, Lane, MarchBist, MemoryConfig,
+    Backend, BackendKind, BlockScratch, DieScratch, Fault, FaultMap, MarchBist, MemoryConfig,
     PlannedSample, SramArray, SramVddBackend, StreamSeeder, W256,
 };
 use faultmit_obs as obs;
@@ -194,7 +194,7 @@ fn measure_generation(
     reps: u32,
 ) -> f64 {
     let seeder = StreamSeeder::new(0xD1E5);
-    let mut scratch = BlockScratch::<W256>::new(memory);
+    let mut scratch = BlockScratch::new(memory);
     scratch.set_wide_generation(wide_generation);
     let lanes = W256::LANES as u64;
     let plan_for = |block: u64| {
@@ -205,7 +205,7 @@ fn measure_generation(
             })
             .collect::<Vec<_>>()
     };
-    let run = |scratch: &mut BlockScratch<W256>, first: u64| {
+    let run = |scratch: &mut BlockScratch, first: u64| {
         for block in first..first + blocks {
             let plan = plan_for(block);
             let die_block = scratch

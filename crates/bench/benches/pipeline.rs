@@ -26,9 +26,7 @@ use faultmit_analysis::{
 };
 use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_core::Scheme;
-use faultmit_memsim::{
-    DieBlock, FaultKindLaw, FaultMap, ImageSpec, MemoryConfig, SramVddBackend, W256,
-};
+use faultmit_memsim::{DieBlock, FaultKindLaw, FaultMap, ImageSpec, MemoryConfig, SramVddBackend};
 use faultmit_obs as obs;
 use faultmit_sim::{
     blocks, per_die, Accumulator, Campaign, CampaignConfig, Evaluator, KernelKind, PairedSample,
@@ -263,7 +261,7 @@ fn push_point<W>(
     let metric = |scheme: &Scheme, map: &FaultMap| memory_mse_sparse_with(scheme, map, &written);
     let time_sparse = || time_campaign(config, schemes, per_die(metric), reps);
     let time_wide = || {
-        let block = |scheme: &Scheme, block: &DieBlock<'_, W256>, out: &mut [f64]| {
+        let block = |scheme: &Scheme, block: &DieBlock<'_>, out: &mut [f64]| {
             block_mse_into(scheme, block, &written, out);
         };
         time_campaign(config, schemes, blocks(metric, block), reps)

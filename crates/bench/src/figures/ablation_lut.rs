@@ -10,7 +10,7 @@ use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::Table;
 use faultmit_hwmodel::{LutImplementation, OverheadModel, ProtectionBlock};
-use faultmit_memsim::{repair_yield, DieSampler, MemoryConfig, StreamSeeder};
+use faultmit_memsim::{repair_yield, FaultMapSampler, MemoryConfig, StreamSeeder};
 use faultmit_sim::{Parallelism, ShardSpec};
 use std::fmt::Write as _;
 
@@ -165,14 +165,13 @@ impl FigureDef for AblationLutDef {
             "Context — spare rows needed by classical row redundancy (95% repair yield, 1024-row bank)",
             vec!["P_cell".into(), "spare rows for 95% yield".into()],
         );
-        let config = MemoryConfig::new(1024, 32)?;
+        let sampler = FaultMapSampler::new(MemoryConfig::new(1024, 32)?);
         for &p_cell in &[1e-5, 1e-4, 1e-3, 5e-3] {
-            let sampler = DieSampler::new(config, p_cell)?;
             // Pipeline-style sampling: each die owns an index-derived RNG
             // stream, so the population is independent of iteration order.
             let seeder = StreamSeeder::new(0x5BA9);
             let dies = (0..200)
-                .map(|i| sampler.sample_die(&mut seeder.rng_for_sample(i)))
+                .map(|i| sampler.sample_with_p_cell(&mut seeder.rng_for_sample(i), p_cell))
                 .collect::<Result<Vec<_>, _>>()?;
             let spares = (0..=1024)
                 .find(|&s| repair_yield(&dies, s) >= 0.95)

@@ -34,22 +34,14 @@ pub struct Fig5Campaign {
 }
 
 impl Fig5Campaign {
-    /// Builds the campaign for a spec (the spec's figure must be `fig5`).
+    /// Builds the campaign for a spec (the spec's figure must be `fig5`),
+    /// with identity-free engine tuning applied (results stay bit-identical
+    /// under any tuning).
     ///
     /// # Errors
     ///
     /// Propagates backend-calibration errors.
-    pub fn from_spec(spec: &FigureSpec, parallelism: Parallelism) -> Result<Self, FigureError> {
-        Self::from_spec_tuned(spec, EngineTuning::default(), parallelism)
-    }
-
-    /// [`Fig5Campaign::from_spec`] with identity-free engine tuning applied
-    /// (results stay bit-identical under any tuning).
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend-calibration errors.
-    pub fn from_spec_tuned(
+    pub fn from_spec(
         spec: &FigureSpec,
         tuning: EngineTuning,
         parallelism: Parallelism,
@@ -187,7 +179,7 @@ impl FigureDef for Fig5Def {
     }
 
     fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
-        let campaign = Fig5Campaign::from_spec_tuned(spec, tuning, Parallelism::Serial).ok()?;
+        let campaign = Fig5Campaign::from_spec(spec, tuning, Parallelism::Serial).ok()?;
         super::kernel_telemetry(spec.kernel, campaign.engine.config().resolved_kernel().ok())
     }
 
@@ -198,7 +190,7 @@ impl FigureDef for Fig5Def {
         parallelism: Parallelism,
         shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {
-        let campaign = Fig5Campaign::from_spec_tuned(spec, tuning, parallelism)?;
+        let campaign = Fig5Campaign::from_spec(spec, tuning, parallelism)?;
         let (accumulator, stats) = campaign.run_shard(shard)?;
         Ok(ShardRun {
             panels: vec![PanelState::Catalogue {
@@ -219,7 +211,7 @@ impl FigureDef for Fig5Def {
         parallelism: Parallelism,
         panels: Vec<PanelState>,
     ) -> Result<RenderedFigure, FigureError> {
-        let campaign = Fig5Campaign::from_spec(spec, parallelism)?;
+        let campaign = Fig5Campaign::from_spec(spec, EngineTuning::default(), parallelism)?;
         let (_, accumulator) = take_catalogue(single_panel(panels, "fig5")?, "fig5")?;
         let results = campaign.results(accumulator)?;
 

@@ -1,13 +1,12 @@
-//! Transposed (bit-sliced) die blocks, generic over the lane width: up to
-//! [`Lane::LANES`] Monte-Carlo dies per lane value (64 for `u64`, 256 for
-//! [`W256`]).
+//! Transposed (bit-sliced) die blocks: up to [`W256::LANES`] (256)
+//! Monte-Carlo dies per lane value.
 //!
 //! # Transposed layout
 //!
 //! The scalar and sparse kernels evaluate one die at a time: a die is a
 //! [`FaultMap`](crate::FaultMap), and every scheme walks its faulty rows.
-//! The bit-sliced kernels instead pack **up to `L::LANES` consecutive
-//! samples of the global plan** into one [`DieBlock`] and transpose the
+//! The bit-sliced kernel instead packs **up to `W256::LANES` consecutive
+//! samples of the global plan** into one [`DieBlock`] and transposes the
 //! fault data: for every `(row, column)` cell that is faulty in *any* die
 //! of the block, a [`LaneCell`] holds three lanes whose bit `j` (bit
 //! `j % 64` of lane word `j / 64`) describes die `j`:
@@ -28,41 +27,13 @@
 //! reproduce the sparse kernel's `-0.0 + 0.0` accumulation bit for bit.
 //!
 //! With this layout one bitwise operation on a lane does the work of
-//! `L::LANES` scalar dies, which is how the mitigation schemes'
+//! `W256::LANES` scalar dies, which is how the mitigation schemes'
 //! `observe_block` paths (in `faultmit-core`) evaluate a whole block per
-//! row walk.
-//!
-//! # The `Lane` contract
-//!
-//! [`Lane`] is a **sealed** trait abstracting "a bitset with one bit per
-//! die of the block". An implementation must provide:
-//!
-//! * `LANES` — the die capacity; `WORDS = LANES / 64` — the number of
-//!   backing `u64` words; `ZERO` — the all-clear lane.
-//! * The bitwise algebra (`&`, `|`, `^`, `!` and the assign forms), acting
-//!   independently per bit. These are the only operations the hot loops
-//!   use, which is what keeps a plain-array implementation like [`W256`]
-//!   autovectorisable: no lane ever crosses a word boundary.
-//! * `splat(word)` — broadcast one `u64` bit pattern to every backing word
-//!   (used to turn a scalar stored bit into an all-die lane:
-//!   `splat(0u64.wrapping_sub(bit))` is all-ones when `bit` is 1).
-//! * Per-die access: `lane_bit(die)` (single-bit lane), `bit(self, die)`
-//!   (extract one die's bit), `word(self, index)` (read one backing word),
-//!   `is_zero`, `count_ones`, and the derived `for_each_die` visitor that
-//!   walks set bits word by word via `trailing_zeros` — so die indices are
-//!   always visited in ascending order, matching the per-sample kernels'
-//!   reduction order.
-//! * `DieArray<T>` / `die_array(fill)` — a `[T; LANES]` stack buffer for
-//!   per-die accumulators, so reductions over a block never heap-allocate.
-//!
-//! **Adding a new width** (say `u64x8` = 512 dies) is three steps: define a
-//! newtype over `[u64; 8]` with element-wise bit ops, implement `Lane`
-//! (every method is a per-word loop or a `die / 64` + `die % 64` split),
-//! and add it to the private `sealed` module. Nothing downstream changes:
-//! `DieBlock`, the mitigation schemes' lane folds and the campaign executor
-//! are generic over `L: Lane`. The fault-event encoding supports die
-//! indices up to 255 per block; widths beyond 256 dies would also widen the
-//! die field of the crate-private `pack_event` encoding.
+//! row walk. The hot loops use only the element-wise bit algebra (`&`,
+//! `|`, `^`, `!`), so no lane operation crosses a word boundary and the
+//! plain-array [`W256`] stays autovectorisable. Per-die access
+//! ([`W256::bit`], [`W256::for_each_die`]) walks words in ascending order,
+//! matching the per-sample kernels' reduction order.
 //!
 //! # Why RNG stream order is preserved (the generation contract)
 //!
@@ -98,134 +69,14 @@
 //!
 //! Campaign plans are not multiples of the lane width, and chunk boundaries
 //! (a pure function of the global plan) never move: the executor groups
-//! each chunk's samples into blocks of at most `L::LANES` and falls back to
-//! the per-sample sparse path for degenerate single-sample groups. Any
+//! each chunk's samples into blocks of at most `W256::LANES` and falls back
+//! to the per-sample sparse path for degenerate single-sample groups. Any
 //! grouping yields identical results because per-sample RNG streams and
 //! the chunk-order reduction are independent of how samples are batched.
 
 use crate::config::MemoryConfig;
 use crate::fault::FaultKind;
-use std::fmt::Debug;
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
-
-mod sealed {
-    /// Seals [`super::Lane`]: lane widths are in-tree types whose bit-level
-    /// layout the kernels may rely on.
-    pub trait Sealed {}
-    impl Sealed for u64 {}
-    impl Sealed for super::W256 {}
-}
-
-/// A bitset with one bit per die of a block — the lane type the bit-sliced
-/// kernels are generic over.
-///
-/// See the [module docs](self) for the full contract and for how to add a
-/// new width. The trait is sealed: in-tree implementations are `u64`
-/// (64 dies) and [`W256`] (256 dies).
-pub trait Lane:
-    sealed::Sealed
-    + Copy
-    + Eq
-    + Default
-    + Debug
-    + Send
-    + Sync
-    + 'static
-    + BitAnd<Output = Self>
-    + BitOr<Output = Self>
-    + BitXor<Output = Self>
-    + Not<Output = Self>
-    + BitAndAssign
-    + BitOrAssign
-    + BitXorAssign
-{
-    /// Number of dies a lane addresses (one bit per die).
-    const LANES: usize;
-    /// Number of backing `u64` words (`LANES / 64`).
-    const WORDS: usize;
-    /// The all-clear lane.
-    const ZERO: Self;
-
-    /// A `[T; LANES]` stack buffer for per-die accumulators.
-    type DieArray<T: Copy>: AsRef<[T]> + AsMut<[T]>;
-
-    /// Builds a [`Lane::DieArray`] with every element set to `fill`.
-    fn die_array<T: Copy>(fill: T) -> Self::DieArray<T>;
-
-    /// Broadcasts one `u64` bit pattern to every backing word.
-    fn splat(word: u64) -> Self;
-
-    /// The lane with only die `die`'s bit set.
-    fn lane_bit(die: usize) -> Self;
-
-    /// Whether no die's bit is set.
-    fn is_zero(self) -> bool;
-
-    /// Die `die`'s bit, as `0` or `1`.
-    fn bit(self, die: usize) -> u64;
-
-    /// Backing word `index` (dies `index * 64 ..= index * 64 + 63`).
-    fn word(self, index: usize) -> u64;
-
-    /// Total number of set bits (dies) across all backing words.
-    fn count_ones(self) -> u32;
-
-    /// Visits every set die in ascending die order.
-    #[inline]
-    fn for_each_die(self, mut f: impl FnMut(usize)) {
-        for index in 0..Self::WORDS {
-            let mut lanes = self.word(index);
-            while lanes != 0 {
-                let die = index * 64 + lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
-                f(die);
-            }
-        }
-    }
-}
-
-impl Lane for u64 {
-    const LANES: usize = 64;
-    const WORDS: usize = 1;
-    const ZERO: Self = 0;
-
-    type DieArray<T: Copy> = [T; 64];
-
-    #[inline]
-    fn die_array<T: Copy>(fill: T) -> [T; 64] {
-        [fill; 64]
-    }
-
-    #[inline]
-    fn splat(word: u64) -> Self {
-        word
-    }
-
-    #[inline]
-    fn lane_bit(die: usize) -> Self {
-        1u64 << die
-    }
-
-    #[inline]
-    fn is_zero(self) -> bool {
-        self == 0
-    }
-
-    #[inline]
-    fn bit(self, die: usize) -> u64 {
-        (self >> die) & 1
-    }
-
-    #[inline]
-    fn word(self, _index: usize) -> u64 {
-        self
-    }
-
-    #[inline]
-    fn count_ones(self) -> u32 {
-        u64::count_ones(self)
-    }
-}
 
 /// A 256-die lane: four `u64` words with element-wise bit operations.
 ///
@@ -275,51 +126,74 @@ impl Not for W256 {
     }
 }
 
-impl Lane for W256 {
-    const LANES: usize = 256;
-    const WORDS: usize = 4;
-    const ZERO: Self = W256([0; 4]);
+impl W256 {
+    /// Number of dies a lane addresses (one bit per die).
+    pub const LANES: usize = 256;
+    /// Number of backing `u64` words (`LANES / 64`).
+    pub const WORDS: usize = 4;
+    /// The all-clear lane.
+    pub const ZERO: Self = W256([0; 4]);
 
-    type DieArray<T: Copy> = [T; 256];
-
+    /// Broadcasts one `u64` bit pattern to every backing word
+    /// (`splat(0u64.wrapping_sub(bit))` is all-ones when `bit` is 1).
+    #[must_use]
     #[inline]
-    fn die_array<T: Copy>(fill: T) -> [T; 256] {
-        [fill; 256]
-    }
-
-    #[inline]
-    fn splat(word: u64) -> Self {
+    pub fn splat(word: u64) -> Self {
         W256([word; 4])
     }
 
+    /// The lane with only die `die`'s bit set.
+    #[must_use]
     #[inline]
-    fn lane_bit(die: usize) -> Self {
+    pub fn lane_bit(die: usize) -> Self {
         let mut words = [0u64; 4];
         words[die / 64] = 1u64 << (die % 64);
         W256(words)
     }
 
+    /// Whether no die's bit is set.
+    #[must_use]
     #[inline]
-    fn is_zero(self) -> bool {
+    pub fn is_zero(self) -> bool {
         (self.0[0] | self.0[1] | self.0[2] | self.0[3]) == 0
     }
 
+    /// Die `die`'s bit, as `0` or `1`.
+    #[must_use]
     #[inline]
-    fn bit(self, die: usize) -> u64 {
+    pub fn bit(self, die: usize) -> u64 {
         (self.0[die / 64] >> (die % 64)) & 1
     }
 
+    /// Backing word `index` (dies `index * 64 ..= index * 64 + 63`).
+    #[must_use]
     #[inline]
-    fn word(self, index: usize) -> u64 {
+    pub fn word(self, index: usize) -> u64 {
         self.0[index]
     }
 
+    /// Total number of set bits (dies) across all backing words.
+    #[must_use]
     #[inline]
-    fn count_ones(self) -> u32 {
+    pub fn count_ones(self) -> u32 {
         self.0[0].count_ones()
             + self.0[1].count_ones()
             + self.0[2].count_ones()
             + self.0[3].count_ones()
+    }
+
+    /// Visits every set die in ascending die order, word by word via
+    /// `trailing_zeros`.
+    #[inline]
+    pub fn for_each_die(self, mut f: impl FnMut(usize)) {
+        for (index, &word) in self.0.iter().enumerate() {
+            let mut lanes = word;
+            while lanes != 0 {
+                let die = index * 64 + lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                f(die);
+            }
+        }
     }
 }
 
@@ -329,23 +203,23 @@ impl Lane for W256 {
 /// sample). At most one of `flips` / `stuck` is set per die — a physical
 /// cell has exactly one behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneCell<L: Lane = u64> {
+pub struct LaneCell {
     /// Bit position (column) of the cell within the word, 0 = LSB.
     pub col: u32,
     /// Dies whose cell flips the stored bit on read.
-    pub flips: L,
+    pub flips: W256,
     /// Dies whose cell is stuck at `stuck_value`.
-    pub stuck: L,
+    pub stuck: W256,
     /// The stuck-at value per die (only bits under `stuck` are meaningful).
-    pub stuck_value: L,
+    pub stuck_value: W256,
 }
 
-impl<L: Lane> LaneCell<L> {
+impl LaneCell {
     /// Dies that have *any* fault at this cell — the fault-presence lane
     /// that drives row-visit bookkeeping and the bit-shuffle FM-LUT vote.
     #[must_use]
     #[inline]
-    pub fn presence(&self) -> L {
+    pub fn presence(&self) -> W256 {
         self.flips | self.stuck
     }
 }
@@ -353,39 +227,39 @@ impl<L: Lane> LaneCell<L> {
 /// One faulty row of a block: its index, its fault-presence (`dirty`) lane,
 /// and its transposed cells sorted by ascending column.
 #[derive(Debug, Clone, Copy)]
-pub struct BlockRow<'a, L: Lane = u64> {
+pub struct BlockRow<'a> {
     /// Row (word address) within the memory.
     pub row: usize,
     /// Bit `j` set ⇔ die `j` has at least one fault in this row.
-    pub dirty: L,
+    pub dirty: W256,
     /// The row's lane cells, ascending by column.
-    pub cells: &'a [LaneCell<L>],
+    pub cells: &'a [LaneCell],
 }
 
 /// Internal row directory entry: the cell range backing one [`BlockRow`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BlockRowEntry<L: Lane = u64> {
+pub(crate) struct BlockRowEntry {
     pub(crate) row: usize,
     pub(crate) start: u32,
     pub(crate) end: u32,
-    pub(crate) dirty: L,
+    pub(crate) dirty: W256,
 }
 
-/// A transposed view over up to `L::LANES` generated dies, borrowed from
+/// A transposed view over up to `W256::LANES` generated dies, borrowed from
 /// the [`BlockScratch`](crate::BlockScratch) arena that generated them
 /// (valid until the next generation call).
 #[derive(Debug, Clone, Copy)]
-pub struct DieBlock<'a, L: Lane = u64> {
-    rows: &'a [BlockRowEntry<L>],
-    cells: &'a [LaneCell<L>],
+pub struct DieBlock<'a> {
+    rows: &'a [BlockRowEntry],
+    cells: &'a [LaneCell],
     dies: usize,
     config: MemoryConfig,
 }
 
-impl<'a, L: Lane> DieBlock<'a, L> {
+impl<'a> DieBlock<'a> {
     pub(crate) fn new(
-        rows: &'a [BlockRowEntry<L>],
-        cells: &'a [LaneCell<L>],
+        rows: &'a [BlockRowEntry],
+        cells: &'a [LaneCell],
         dies: usize,
         config: MemoryConfig,
     ) -> Self {
@@ -397,15 +271,17 @@ impl<'a, L: Lane> DieBlock<'a, L> {
         }
     }
 
-    /// Number of dies packed into the block (`1..=L::LANES`); die `j`
+    /// Number of dies packed into the block (`1..=W256::LANES`); die `j`
     /// occupies bit `j` of every lane.
     #[must_use]
+    #[inline]
     pub fn die_count(&self) -> usize {
         self.dies
     }
 
     /// Geometry shared by every die of the block.
     #[must_use]
+    #[inline]
     pub fn config(&self) -> MemoryConfig {
         self.config
     }
@@ -417,7 +293,8 @@ impl<'a, L: Lane> DieBlock<'a, L> {
     }
 
     /// Iterates the block's faulty rows in ascending row order.
-    pub fn rows(&self) -> impl Iterator<Item = BlockRow<'a, L>> + '_ {
+    #[inline]
+    pub fn rows(&self) -> impl Iterator<Item = BlockRow<'a>> + '_ {
         self.rows.iter().map(|entry| BlockRow {
             row: entry.row,
             dirty: entry.dirty,
@@ -430,7 +307,7 @@ impl<'a, L: Lane> DieBlock<'a, L> {
 /// 2 kind bits, 8 die bits, 6 column bits, then the row — so an unstable
 /// sort of the packed words yields `(row, col, die)` order and equal keys
 /// are impossible (a die has at most one fault per cell). The 8-bit die
-/// field caps blocks at 256 dies, today's widest [`Lane`].
+/// field caps blocks at 256 dies, the [`W256`] lane width.
 #[inline]
 pub(crate) fn pack_event(row: usize, col: usize, die: usize, kind: FaultKind) -> u64 {
     debug_assert!(col < 64 && die < 256);
@@ -453,10 +330,10 @@ pub(crate) fn event_sort_key(event: u64) -> usize {
 
 /// Rebuilds the row directory and lane cells from sorted packed events.
 /// Clears (but never shrinks) the output buffers.
-pub(crate) fn transpose_events<L: Lane>(
+pub(crate) fn transpose_events(
     events: &[u64],
-    cells: &mut Vec<LaneCell<L>>,
-    rows: &mut Vec<BlockRowEntry<L>>,
+    cells: &mut Vec<LaneCell>,
+    rows: &mut Vec<BlockRowEntry>,
 ) {
     cells.clear();
     rows.clear();
@@ -465,7 +342,7 @@ pub(crate) fn transpose_events<L: Lane>(
         let col = ((event >> 10) & 0x3F) as u32;
         let die = ((event >> 2) & 0xFF) as usize;
         let kind_code = event & 0b11;
-        let die_bit = L::lane_bit(die);
+        let die_bit = W256::lane_bit(die);
 
         let new_row = rows.last().is_none_or(|entry| entry.row != row);
         if new_row {
@@ -473,7 +350,7 @@ pub(crate) fn transpose_events<L: Lane>(
                 row,
                 start: cells.len() as u32,
                 end: cells.len() as u32,
-                dirty: L::ZERO,
+                dirty: W256::ZERO,
             });
         }
         let entry = rows.last_mut().expect("a row entry was just ensured");
@@ -484,9 +361,9 @@ pub(crate) fn transpose_events<L: Lane>(
         if new_cell {
             cells.push(LaneCell {
                 col,
-                flips: L::ZERO,
-                stuck: L::ZERO,
-                stuck_value: L::ZERO,
+                flips: W256::ZERO,
+                stuck: W256::ZERO,
+                stuck_value: W256::ZERO,
             });
             entry.end = cells.len() as u32;
         }
@@ -507,38 +384,40 @@ pub(crate) fn transpose_events<L: Lane>(
 /// lane `c` says the word die `j` observes differs from the written word at
 /// data bit `c`, after the mitigation scheme has done its work.
 ///
-/// The buffer is fixed-size stack storage (64 lanes of `L`, ≤ 2 KiB at 256
-/// dies) and clears sparsely through its column mask, so per-row reuse is
+/// The buffer is fixed-size stack storage (64 [`W256`] lanes, 2 KiB) and
+/// clears sparsely through its column mask, so per-row reuse is
 /// allocation-free.
 #[derive(Debug, Clone)]
-pub struct ResidualLanes<L: Lane = u64> {
-    lanes: [L; 64],
+pub struct ResidualLanes {
+    lanes: [W256; 64],
     colmask: u64,
 }
 
-impl<L: Lane> Default for ResidualLanes<L> {
+impl Default for ResidualLanes {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<L: Lane> ResidualLanes<L> {
+impl ResidualLanes {
     /// An all-clear residual buffer.
     #[must_use]
+    #[inline]
     pub fn new() -> Self {
         Self {
-            lanes: [L::ZERO; 64],
+            lanes: [W256::ZERO; 64],
             colmask: 0,
         }
     }
 
     /// Clears every touched lane (sparse: only columns in the mask).
+    #[inline]
     pub fn clear(&mut self) {
         let mut mask = self.colmask;
         while mask != 0 {
             let col = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            self.lanes[col] = L::ZERO;
+            self.lanes[col] = W256::ZERO;
         }
         self.colmask = 0;
     }
@@ -546,7 +425,7 @@ impl<L: Lane> ResidualLanes<L> {
     /// ORs `lane` into data column `col` (no-op for an all-zero lane, so
     /// the column mask stays tight).
     #[inline]
-    pub fn accumulate(&mut self, col: usize, lane: L) {
+    pub fn accumulate(&mut self, col: usize, lane: W256) {
         if !lane.is_zero() {
             self.lanes[col] |= lane;
             self.colmask |= 1u64 << col;
@@ -555,6 +434,7 @@ impl<L: Lane> ResidualLanes<L> {
 
     /// Mask of data columns holding at least one residual error.
     #[must_use]
+    #[inline]
     pub fn colmask(&self) -> u64 {
         self.colmask
     }
@@ -564,7 +444,7 @@ impl<L: Lane> ResidualLanes<L> {
     /// [`colmask`](Self::colmask) read as zero.
     #[must_use]
     #[inline]
-    pub fn lane(&self, col: usize) -> L {
+    pub fn lane(&self, col: usize) -> W256 {
         self.lanes[col]
     }
 
@@ -605,7 +485,7 @@ mod tests {
     }
 
     /// Generates `plan` die by die through the per-sample path — the
-    /// reference population every block width must reproduce exactly.
+    /// reference population every block must reproduce exactly.
     fn per_sample_reference(
         backend: &Backend,
         seeder: &StreamSeeder,
@@ -625,7 +505,7 @@ mod tests {
     }
 
     /// Untransposes a block back into per-die fault lists.
-    fn untranspose<L: Lane>(block: &DieBlock<'_, L>) -> Vec<Vec<crate::fault::Fault>> {
+    fn untranspose(block: &DieBlock<'_>) -> Vec<Vec<crate::fault::Fault>> {
         let mut rebuilt: Vec<Vec<crate::fault::Fault>> = vec![Vec::new(); block.die_count()];
         for row in block.rows() {
             for cell in row.cells {
@@ -652,33 +532,6 @@ mod tests {
 
     #[test]
     fn block_lanes_match_per_sample_maps_on_every_backend() {
-        let seeder = StreamSeeder::new(0xB10C);
-        for kind in BackendKind::ALL {
-            for law in [
-                FaultKindLaw::AlwaysFlip,
-                FaultKindLaw::AsymmetricStuckAt {
-                    p_stuck_at_zero: 0.4,
-                },
-            ] {
-                let backend = Backend::at_p_cell(kind, config(), 1e-3)
-                    .unwrap()
-                    .with_kind_law(law)
-                    .unwrap();
-                let plan = plan(3, 40, 9);
-                let expected = per_sample_reference(&backend, &seeder, &plan);
-                // Block path over the same plan.
-                let mut scratch = BlockScratch::<u64>::new(config());
-                let block = scratch
-                    .generate_block(&backend, &seeder, &plan, None)
-                    .unwrap();
-                assert_eq!(block.die_count(), 40);
-                assert_eq!(untranspose(&block), expected, "{kind} {law:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_block_lanes_match_per_sample_maps_on_every_backend() {
         let seeder = StreamSeeder::new(0x256B);
         for kind in BackendKind::ALL {
             for law in [
@@ -691,11 +544,11 @@ mod tests {
                     .unwrap()
                     .with_kind_law(law)
                     .unwrap();
-                // More dies than any single u64 lane can hold, and not a
-                // multiple of 64, so every W256 word boundary is exercised.
+                // Not a multiple of 64, so every W256 word boundary is
+                // crossed and the last word is partial.
                 let plan = plan(5, 200, 9);
                 let expected = per_sample_reference(&backend, &seeder, &plan);
-                let mut scratch = BlockScratch::<W256>::new(config());
+                let mut scratch = BlockScratch::new(config());
                 let block = scratch
                     .generate_block(&backend, &seeder, &plan, None)
                     .unwrap();
@@ -709,7 +562,7 @@ mod tests {
     fn block_rows_ascend_and_dirty_matches_presence() {
         let seeder = StreamSeeder::new(7);
         let backend = Backend::at_p_cell(BackendKind::Sram, config(), 1e-3).unwrap();
-        let mut scratch = BlockScratch::<W256>::new(config());
+        let mut scratch = BlockScratch::new(config());
         let block = scratch
             .generate_block(&backend, &seeder, &plan(0, 256, 12), None)
             .unwrap();
@@ -748,7 +601,8 @@ mod tests {
     fn single_fault_per_row_policy_matches_per_sample_redraws() {
         let seeder = StreamSeeder::new(0xF167);
         let backend = Backend::at_p_cell(BackendKind::Sram, config(), 1e-3).unwrap();
-        let plan = plan(10, 24, 20);
+        // Crosses the first two W256 word boundaries.
+        let plan = plan(10, 150, 20);
         let mut reference = DieScratch::new(config());
         let mut expected: Vec<Vec<crate::fault::Fault>> = Vec::new();
         for planned in &plan {
@@ -758,7 +612,7 @@ mod tests {
                 .unwrap();
             expected.push(map.iter().collect());
         }
-        let mut scratch = BlockScratch::<u64>::new(config());
+        let mut scratch = BlockScratch::new(config());
         let block = scratch
             .generate_block(&backend, &seeder, &plan, Some(8))
             .unwrap();
@@ -770,32 +624,29 @@ mod tests {
         }
         let expected_total: usize = expected.iter().map(Vec::len).sum();
         assert_eq!(total, expected_total);
+        assert_eq!(untranspose(&block), expected);
     }
 
     #[test]
-    fn oversized_plans_are_rejected_per_width() {
+    fn oversized_plans_are_rejected() {
         let seeder = StreamSeeder::new(1);
         let backend = Backend::at_p_cell(BackendKind::Sram, config(), 1e-3).unwrap();
-        let mut narrow = BlockScratch::<u64>::new(config());
-        assert!(narrow
-            .generate_block(&backend, &seeder, &plan(0, 65, 1), None)
-            .is_err());
-        let mut wide = BlockScratch::<W256>::new(config());
-        assert!(wide
+        let mut scratch = BlockScratch::new(config());
+        assert!(scratch
             .generate_block(&backend, &seeder, &plan(0, 257, 1), None)
             .is_err());
-        assert!(wide
+        assert!(scratch
             .generate_block(&backend, &seeder, &plan(0, 256, 1), None)
             .is_ok());
     }
 
     #[test]
-    fn w256_lane_algebra_matches_the_u64_reference_per_word() {
-        // Per-word equivalence: every Lane operation on W256 must act like
-        // four independent u64 lanes.
+    fn w256_lane_algebra_acts_per_word() {
+        // Per-word equivalence: every lane operation on W256 must act like
+        // four independent u64 words.
         let a = W256([0x0123_4567_89AB_CDEF, !0, 0, 0xDEAD_BEEF_F00D_5EED]);
         let b = W256([0xFEDC_BA98_7654_3210, 0x5555_5555_5555_5555, 7, 0]);
-        for index in 0..4 {
+        for index in 0..W256::WORDS {
             assert_eq!((a & b).word(index), a.word(index) & b.word(index));
             assert_eq!((a | b).word(index), a.word(index) | b.word(index));
             assert_eq!((a ^ b).word(index), a.word(index) ^ b.word(index));
@@ -804,7 +655,9 @@ mod tests {
         }
         assert_eq!(
             a.count_ones(),
-            (0..4).map(|index| a.word(index).count_ones()).sum::<u32>()
+            (0..W256::WORDS)
+                .map(|index| a.word(index).count_ones())
+                .sum::<u32>()
         );
         assert!(W256::ZERO.is_zero());
         assert!(!a.is_zero());
@@ -830,38 +683,24 @@ mod tests {
 
     #[test]
     fn residual_lanes_round_trip_and_clear_sparsely() {
-        let mut residual = ResidualLanes::<u64>::new();
-        residual.accumulate(3, 0b101);
-        residual.accumulate(3, 0b010);
-        residual.accumulate(31, 1 << 63);
-        residual.accumulate(9, 0); // no-op
-        assert_eq!(residual.colmask(), (1 << 3) | (1 << 31));
-        assert_eq!(residual.gather_die(0), 1 << 3);
-        assert_eq!(residual.gather_die(1), 1 << 3);
-        assert_eq!(residual.gather_die(2), 1 << 3);
-        assert_eq!(residual.gather_die(63), 1 << 31);
-        assert_eq!(residual.gather_die(5), 0);
-        residual.clear();
-        assert_eq!(residual.colmask(), 0);
-        for die in 0..64 {
-            assert_eq!(residual.gather_die(die), 0);
-        }
-    }
-
-    #[test]
-    fn wide_residual_lanes_round_trip_beyond_die_64() {
-        let mut residual = ResidualLanes::<W256>::new();
-        residual.accumulate(3, W256::lane_bit(70) | W256::lane_bit(2));
-        residual.accumulate(31, W256::lane_bit(255));
+        let mut residual = ResidualLanes::new();
+        residual.accumulate(3, W256::lane_bit(0) | W256::lane_bit(2));
+        residual.accumulate(3, W256::lane_bit(1) | W256::lane_bit(70));
+        residual.accumulate(31, W256::lane_bit(63) | W256::lane_bit(255));
         residual.accumulate(9, W256::ZERO); // no-op
         assert_eq!(residual.colmask(), (1 << 3) | (1 << 31));
-        assert_eq!(residual.gather_die(70), 1 << 3);
-        assert_eq!(residual.gather_die(2), 1 << 3);
+        assert_eq!(residual.lane(9), W256::ZERO);
+        for die in [0usize, 1, 2, 70] {
+            assert_eq!(residual.gather_die(die), 1 << 3, "die {die}");
+        }
+        assert_eq!(residual.gather_die(63), 1 << 31);
         assert_eq!(residual.gather_die(255), 1 << 31);
-        assert_eq!(residual.gather_die(64), 0);
+        for die in [5usize, 64, 254] {
+            assert_eq!(residual.gather_die(die), 0, "die {die}");
+        }
         residual.clear();
         assert_eq!(residual.colmask(), 0);
-        for die in [0usize, 70, 255] {
+        for die in 0..W256::LANES {
             assert_eq!(residual.gather_die(die), 0);
         }
     }

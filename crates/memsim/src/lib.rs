@@ -21,8 +21,10 @@
 //!   [`ImageSpec`] catalogue (zeros, ones, uniform-random, sparse,
 //!   application matrices) against which data-aware campaigns evaluate
 //!   stuck-at faults relative to the stored word.
-//! * [`DieSampler`] and [`montecarlo`] — Monte-Carlo generation of dies and
-//!   fault maps following the binomial failure-count distribution of Eq. (4).
+//! * [`FaultMapSampler`] and [`montecarlo`] — Monte-Carlo generation of
+//!   fault maps following the binomial failure-count distribution of Eq. (4)
+//!   ([`FaultMapSampler::sample_with_p_cell`] draws a whole die at a given
+//!   `P_cell`).
 //! * [`StreamSeeder`] / [`DieBatch`] — deterministic stream-splitting of a
 //!   campaign seed into per-sample RNGs and batched die generation, the
 //!   sampling substrate of the parallel fault-injection pipeline
@@ -30,11 +32,10 @@
 //!   index)`, never on which worker thread draws them.
 //! * [`MarchBist`] — a March C- built-in self test that locates faulty cells,
 //!   producing the per-row report that seeds the bit-shuffling FM-LUT.
-//! * [`dieblock`] — transposed (bit-sliced) die blocks, generic over the
-//!   sealed [`Lane`] width: up to `L::LANES` planned samples packed into
-//!   lanes ([`DieBlock`], [`LaneCell`], [`ResidualLanes`]) — 64 dies per
-//!   `u64` or 256 per [`W256`] — for the lane-parallel evaluation kernels,
-//!   generated from the same per-sample RNG streams as the scalar paths.
+//! * [`dieblock`] — transposed (bit-sliced) die blocks: up to 256 planned
+//!   samples packed into [`W256`] lanes ([`DieBlock`], [`LaneCell`],
+//!   [`ResidualLanes`]) for the lane-parallel evaluation kernel, generated
+//!   from the same per-sample RNG streams as the scalar paths.
 //! * [`widegen`] — lane-interleaved die-block *generation*: [`WIDE_LANES`]
 //!   independent per-sample xoshiro256++ streams advanced as SoA array ops
 //!   ([`rand::wide::WideXoshiro`]), lane-masked Floyd sampling and kind
@@ -88,12 +89,12 @@ pub use backend::{
 };
 pub use bist::{BistReport, MarchBist, RowFaultReport};
 pub use config::MemoryConfig;
-pub use dieblock::{BlockRow, DieBlock, Lane, LaneCell, ResidualLanes, W256};
+pub use dieblock::{BlockRow, DieBlock, LaneCell, ResidualLanes, W256};
 pub use error::MemError;
 pub use failure_model::{CellFailureModel, FailureModelBuilder};
 pub use fault::{Fault, FaultKind, FaultMap};
 pub use image::{AppImage, DataImage, ImageSpec, WordImage};
-pub use montecarlo::{DieSampler, FailureCountDistribution, FaultMapSampler};
+pub use montecarlo::{FailureCountDistribution, FaultMapSampler};
 pub use redundancy::{repair_yield, spares_for_full_repair, RowRepair};
 pub use scratch::{BlockScratch, DieScratch};
 pub use seeder::{DieBatch, PlannedSample, StreamSeeder};

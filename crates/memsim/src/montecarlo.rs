@@ -9,10 +9,10 @@
 //!   failures in a memory of `M` cells with failure probability `P_cell`;
 //! * [`FaultMapSampler`] — uniform sampling of fault maps with an exact number
 //!   of faults (the paper's "maps of random bit-flip locations for each
-//!   failure count");
-//! * [`DieSampler`] — sampling of whole dies where the failure count itself is
-//!   drawn from the binomial distribution (used when simulating a production
-//!   lot rather than sweeping failure counts).
+//!   failure count"), or of whole dies whose failure count itself is drawn
+//!   from the binomial distribution
+//!   ([`FaultMapSampler::sample_with_p_cell`], used when simulating a
+//!   production lot rather than sweeping failure counts).
 
 use crate::config::MemoryConfig;
 use crate::error::MemError;
@@ -277,77 +277,6 @@ impl FaultMapSampler {
     }
 }
 
-/// Samples complete dies: a fault map whose failure count follows the
-/// binomial distribution implied by a failure model or explicit `P_cell`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DieSampler {
-    sampler: FaultMapSampler,
-    p_cell: f64,
-}
-
-impl DieSampler {
-    /// Creates a die sampler for the given geometry and cell failure
-    /// probability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::InvalidProbability`] when `p_cell` is outside
-    /// `[0, 1]`.
-    pub fn new(config: MemoryConfig, p_cell: f64) -> Result<Self, MemError> {
-        if !(0.0..=1.0).contains(&p_cell) || p_cell.is_nan() {
-            return Err(MemError::InvalidProbability { value: p_cell });
-        }
-        Ok(Self {
-            sampler: FaultMapSampler::new(config),
-            p_cell,
-        })
-    }
-
-    /// Per-cell failure probability used by this sampler.
-    #[must_use]
-    pub fn p_cell(&self) -> f64 {
-        self.p_cell
-    }
-
-    /// Geometry of sampled dies.
-    #[must_use]
-    pub fn config(&self) -> MemoryConfig {
-        self.sampler.config()
-    }
-
-    /// The failure-count distribution of sampled dies.
-    #[must_use]
-    pub fn failure_distribution(&self) -> FailureCountDistribution {
-        FailureCountDistribution {
-            total_cells: self.config().total_cells() as u64,
-            p_cell: self.p_cell,
-        }
-    }
-
-    /// Draws one die's fault map.
-    ///
-    /// # Errors
-    ///
-    /// Propagates geometry errors from fault-map construction (none are
-    /// expected for a well-formed sampler).
-    pub fn sample_die<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<FaultMap, MemError> {
-        self.sampler.sample_with_p_cell(rng, self.p_cell)
-    }
-
-    /// Draws `count` dies.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`DieSampler::sample_die`].
-    pub fn sample_dies<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        count: usize,
-    ) -> Result<Vec<FaultMap>, MemError> {
-        (0..count).map(|_| self.sample_die(rng)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,12 +385,16 @@ mod tests {
     }
 
     #[test]
-    fn die_sampler_tracks_binomial_mean() {
-        let sampler = DieSampler::new(config(), 0.01).unwrap();
+    fn p_cell_sampling_tracks_binomial_mean() {
+        let sampler = FaultMapSampler::new(config());
         let mut rng = StdRng::seed_from_u64(7);
-        let dies = sampler.sample_dies(&mut rng, 400).unwrap();
+        let dies: Vec<FaultMap> = (0..400)
+            .map(|_| sampler.sample_with_p_cell(&mut rng, 0.01).unwrap())
+            .collect();
         let mean = dies.iter().map(|d| d.fault_count() as f64).sum::<f64>() / dies.len() as f64;
-        let expected = sampler.failure_distribution().mean();
+        let expected = FailureCountDistribution::for_memory(config(), 0.01)
+            .unwrap()
+            .mean();
         assert!(
             (mean - expected).abs() < expected * 0.2 + 1.0,
             "mean = {mean}, expected = {expected}"
@@ -469,16 +402,19 @@ mod tests {
     }
 
     #[test]
-    fn die_sampler_rejects_bad_probability() {
-        assert!(DieSampler::new(config(), -0.5).is_err());
-        assert!(DieSampler::new(config(), 2.0).is_err());
+    fn p_cell_sampling_rejects_bad_probability() {
+        let sampler = FaultMapSampler::new(config());
+        let mut rng = StdRng::seed_from_u64(9);
+        for p_cell in [-0.5, 2.0, f64::NAN] {
+            assert!(sampler.sample_with_p_cell(&mut rng, p_cell).is_err());
+        }
     }
 
     #[test]
     fn zero_p_cell_yields_fault_free_dies() {
-        let sampler = DieSampler::new(config(), 0.0).unwrap();
+        let sampler = FaultMapSampler::new(config());
         let mut rng = StdRng::seed_from_u64(8);
-        let die = sampler.sample_die(&mut rng).unwrap();
+        let die = sampler.sample_with_p_cell(&mut rng, 0.0).unwrap();
         assert!(die.is_empty());
     }
 }

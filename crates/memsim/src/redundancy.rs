@@ -123,7 +123,7 @@ pub fn repair_yield(dies: &[FaultMap], spare_rows: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::montecarlo::DieSampler;
+    use crate::montecarlo::FaultMapSampler;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -190,10 +190,14 @@ mod tests {
     #[test]
     fn repair_yield_grows_with_spare_budget_and_spare_demand_with_p_cell() {
         let mut rng = StdRng::seed_from_u64(3);
-        let low = DieSampler::new(config(), 1e-3).unwrap();
-        let high = DieSampler::new(config(), 2e-2).unwrap();
-        let low_dies = low.sample_dies(&mut rng, 200).unwrap();
-        let high_dies = high.sample_dies(&mut rng, 200).unwrap();
+        let sampler = FaultMapSampler::new(config());
+        let mut dies = |p_cell: f64| -> Vec<FaultMap> {
+            (0..200)
+                .map(|_| sampler.sample_with_p_cell(&mut rng, p_cell).unwrap())
+                .collect()
+        };
+        let low_dies = dies(1e-3);
+        let high_dies = dies(2e-2);
 
         // Yield is monotone in the spare budget.
         let mut previous = 0.0;

@@ -5,8 +5,8 @@
 //! backends' samplers need — the Floyd-sampling index buffers for iid
 //! placement, the occupancy set for rejection placement), or a
 //! [`BlockScratch`] when the bit-sliced kernels run, which wraps a
-//! `DieScratch` and adds the lane-typed transposition buffers for one
-//! [`DieBlock`] of up to `L::LANES` dies. After a short warm-up the
+//! `DieScratch` and adds the lane transposition buffers for one
+//! [`DieBlock`] of up to [`W256::LANES`] dies. After a short warm-up the
 //! containers reach their high-water capacities and steady-state die
 //! generation performs **zero heap allocations** — the arena is cleared,
 //! never dropped, between dies. The [`DieScratch::realloc_events`] /
@@ -17,7 +17,7 @@
 use crate::backend::FaultBackend;
 use crate::config::MemoryConfig;
 use crate::dieblock::{
-    event_sort_key, pack_event, transpose_events, BlockRowEntry, DieBlock, Lane, LaneCell,
+    event_sort_key, pack_event, transpose_events, BlockRowEntry, DieBlock, LaneCell, W256,
 };
 use crate::error::MemError;
 use crate::fault::FaultMap;
@@ -173,7 +173,7 @@ impl DieScratch {
 }
 
 /// A reusable arena for generating transposed [`DieBlock`]s of up to
-/// `L::LANES` dies, wrapping a [`DieScratch`] for the per-sample draws.
+/// [`W256::LANES`] dies, wrapping a [`DieScratch`] for the per-sample draws.
 ///
 /// Create one per worker thread ([`BlockScratch::new`]) and call
 /// [`BlockScratch::generate_block`] once per block; the returned
@@ -182,7 +182,7 @@ impl DieScratch {
 /// [`BlockScratch::scalar_mut`] for the campaign executor's per-sample
 /// tail, so one arena serves both paths of a mixed block/scalar shard.
 #[derive(Debug)]
-pub struct BlockScratch<L: Lane = u64> {
+pub struct BlockScratch {
     /// The per-sample arena every planned die is drawn into.
     scalar: DieScratch,
     /// Packed `(row, col, die, kind)` events for block transposition.
@@ -192,9 +192,9 @@ pub struct BlockScratch<L: Lane = u64> {
     /// Scatter target for the counting sort of dense event batches.
     sorted: Vec<u64>,
     /// Transposed lane cells backing the current [`DieBlock`] view.
-    cells: Vec<LaneCell<L>>,
+    cells: Vec<LaneCell>,
     /// Row directory backing the current [`DieBlock`] view.
-    rows: Vec<BlockRowEntry<L>>,
+    rows: Vec<BlockRowEntry>,
     /// Per-lane buffers of the lane-interleaved generator.
     wide: WideGenScratch,
     /// Whether wide-capable backends take the lane-interleaved path.
@@ -202,7 +202,7 @@ pub struct BlockScratch<L: Lane = u64> {
     realloc_events: u64,
 }
 
-impl<L: Lane> BlockScratch<L> {
+impl BlockScratch {
     /// Creates an empty (cold) block arena for dies of the given geometry.
     #[must_use]
     pub fn new(config: MemoryConfig) -> Self {
@@ -269,7 +269,7 @@ impl<L: Lane> BlockScratch<L> {
         ]
     }
 
-    /// Generates up to `L::LANES` planned samples into one transposed
+    /// Generates up to [`W256::LANES`] planned samples into one transposed
     /// [`DieBlock`]: die `j` of the block is `plan[j]`, generated with the
     /// *same* RNG stream ([`StreamSeeder::rng_for_sample`]) and the same
     /// per-sample protocol (plain, or single-fault-per-row when
@@ -279,7 +279,7 @@ impl<L: Lane> BlockScratch<L> {
     ///
     /// # Errors
     ///
-    /// Rejects plans longer than `L::LANES` samples and propagates the
+    /// Rejects plans longer than [`W256::LANES`] samples and propagates the
     /// backend's sampling errors.
     pub fn generate_block<B: FaultBackend + ?Sized>(
         &mut self,
@@ -287,13 +287,13 @@ impl<L: Lane> BlockScratch<L> {
         seeder: &StreamSeeder,
         plan: &[PlannedSample],
         max_redraws: Option<usize>,
-    ) -> Result<DieBlock<'_, L>, MemError> {
-        if plan.len() > L::LANES {
+    ) -> Result<DieBlock<'_>, MemError> {
+        if plan.len() > W256::LANES {
             return Err(MemError::InvalidParameter {
                 reason: format!(
                     "die block plan of {} samples exceeds the {}-die lane width",
                     plan.len(),
-                    L::LANES
+                    W256::LANES
                 ),
             });
         }
@@ -407,7 +407,6 @@ impl<L: Lane> BlockScratch<L> {
 mod tests {
     use super::*;
     use crate::backend::{Backend, BackendKind, FaultKindLaw};
-    use crate::dieblock::W256;
     use rand::SeedableRng;
 
     fn config() -> MemoryConfig {
@@ -482,7 +481,7 @@ mod tests {
         let seeder = StreamSeeder::new(0x1D1E);
         for kind in BackendKind::ALL {
             let backend = Backend::at_p_cell(kind, config(), 1e-3).unwrap();
-            let mut scratch = BlockScratch::<W256>::new(config());
+            let mut scratch = BlockScratch::new(config());
             let plan_at = |start: u64, n_faults: u64| -> Vec<PlannedSample> {
                 (0..256u64)
                     .map(|j| PlannedSample {

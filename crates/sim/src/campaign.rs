@@ -26,13 +26,12 @@ use crate::error::{RunError, SimError};
 use crate::executor::{run_chunked_with, Parallelism};
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{
-    BlockScratch, DieBlock, FailureCountDistribution, FaultBackend, FaultMap, ImageSpec, Lane,
-    MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder,
+    BlockScratch, DieBlock, FailureCountDistribution, FaultBackend, FaultMap, ImageSpec,
+    MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder, W256,
 };
 use faultmit_obs as obs;
 use std::convert::Infallible;
 use std::fmt;
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -199,10 +198,10 @@ pub enum KernelKind {
     /// `observe_sparse` — the default.
     #[default]
     Sparse,
-    /// The wide bit-sliced kernel: up to 256 dies transposed into
-    /// [`W256`](faultmit_memsim::W256) lanes (four `u64` words per lane,
-    /// autovectorisable element-wise ops) and evaluated together through the
-    /// wide block observer, with a per-die tail for leftover samples.
+    /// The bit-sliced kernel: up to 256 dies transposed into [`W256`] lanes
+    /// (four `u64` words per lane, autovectorisable element-wise ops) and
+    /// evaluated together through the block observer, with a per-die tail
+    /// for leftover samples.
     Bitsliced256,
     /// Density-adaptive choice: resolves to [`KernelKind::Bitsliced256`]
     /// when the expected fault density meets
@@ -626,10 +625,10 @@ impl<B: FaultBackend> Campaign<B> {
     ///
     /// `evaluator` is built with [`per_die`] (every scheme sees each die's
     /// [`FaultMap`]) or [`blocks`] (dies are grouped into transposed
-    /// [`DieBlock`]s of up to `L::LANES` dies, with lone samples taking the
-    /// per-die metric). Either way every scheme sees the identical die, and
-    /// when the block and per-die metrics agree per die the accumulator is
-    /// the same at any lane width. `make_accumulator` creates one
+    /// [`DieBlock`]s of up to [`W256::LANES`] dies, with lone samples taking
+    /// the per-die metric). Either way every scheme sees the identical die,
+    /// and when the block and per-die metrics agree per die the accumulator
+    /// is the same under both evaluators. `make_accumulator` creates one
     /// chunk-local accumulator per work chunk; chunk results merge in chunk
     /// order into the returned accumulator.
     ///
@@ -691,7 +690,7 @@ impl<B: FaultBackend> Campaign<B> {
             || {
                 (
                     recorder.as_ref().map(obs::install),
-                    BlockScratch::<V::Lane>::new(backend.config()),
+                    BlockScratch::new(backend.config()),
                     Vec::<f64>::with_capacity(schemes.len()),
                     vec![0.0f64; schemes.len() * V::BLOCK_DIES],
                 )
@@ -835,9 +834,6 @@ impl<E: Send> DieMetric for Result<f64, E> {
 /// How [`Campaign::execute`] evaluates sampled dies. Build one with
 /// [`per_die`] or [`blocks`].
 pub trait Evaluator<S>: Sync {
-    /// Lane type of the transposed blocks the evaluator consumes
-    /// ([`per_die`] evaluators name `u64` and never receive a block).
-    type Lane: Lane;
     /// Error type of the per-die metric.
     type Error: Send;
     /// Dies evaluated together as one block; `1` evaluates die by die.
@@ -852,13 +848,12 @@ pub trait Evaluator<S>: Sync {
 
     /// Fills `out[j]` with die `j`'s metric under `scheme` for every die
     /// of `block`.
-    fn block(&self, scheme: &S, block: &DieBlock<'_, Self::Lane>, out: &mut [f64]);
+    fn block(&self, scheme: &S, block: &DieBlock<'_>, out: &mut [f64]);
 }
 
 /// A borrowed evaluator runs exactly like the owned one, so one evaluator
 /// can drive several campaigns.
 impl<S, V: Evaluator<S>> Evaluator<S> for &V {
-    type Lane = V::Lane;
     type Error = V::Error;
     const BLOCK_DIES: usize = V::BLOCK_DIES;
 
@@ -866,7 +861,7 @@ impl<S, V: Evaluator<S>> Evaluator<S> for &V {
         (**self).die(scheme, map)
     }
 
-    fn block(&self, scheme: &S, block: &DieBlock<'_, V::Lane>, out: &mut [f64]) {
+    fn block(&self, scheme: &S, block: &DieBlock<'_>, out: &mut [f64]) {
         (**self).block(scheme, block, out);
     }
 }
@@ -877,10 +872,9 @@ pub struct PerDie<F>(F);
 
 /// A block evaluator with a per-die tail (see [`blocks`]).
 #[derive(Debug, Clone, Copy)]
-pub struct Blocks<L, F, G> {
+pub struct Blocks<F, G> {
     die: F,
     block: G,
-    lane: PhantomData<fn() -> L>,
 }
 
 /// Evaluates every die on its own: `metric(scheme, map)` returns an `f64`
@@ -893,22 +887,17 @@ where
     PerDie(metric)
 }
 
-/// Evaluates dies `L::LANES` at a time: `block(scheme, block, out)` fills
-/// `out[j]` with die `j`'s metric, and a lone sample left at the end of a
-/// chunk takes `metric(scheme, map)` instead, so any
-/// `(samples, chunk size, shard)` plan works at any lane width.
-pub fn blocks<S, L, F, M, G>(metric: F, block: G) -> Blocks<L, F, G>
+/// Evaluates dies up to [`W256::LANES`] at a time: `block(scheme, block,
+/// out)` fills `out[j]` with die `j`'s metric, and a lone sample left at
+/// the end of a chunk takes `metric(scheme, map)` instead, so any
+/// `(samples, chunk size, shard)` plan works.
+pub fn blocks<S, F, M, G>(metric: F, block: G) -> Blocks<F, G>
 where
-    L: Lane,
     F: Fn(&S, &FaultMap) -> M + Sync,
     M: DieMetric,
-    G: Fn(&S, &DieBlock<'_, L>, &mut [f64]) + Sync,
+    G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
 {
-    Blocks {
-        die: metric,
-        block,
-        lane: PhantomData,
-    }
+    Blocks { die: metric, block }
 }
 
 impl<S, F, M> Evaluator<S> for PerDie<F>
@@ -916,7 +905,6 @@ where
     F: Fn(&S, &FaultMap) -> M + Sync,
     M: DieMetric,
 {
-    type Lane = u64;
     type Error = M::Error;
     const BLOCK_DIES: usize = 1;
 
@@ -924,27 +912,25 @@ where
         (self.0)(scheme, map).into_result()
     }
 
-    fn block(&self, _: &S, _: &DieBlock<'_, u64>, _: &mut [f64]) {
+    fn block(&self, _: &S, _: &DieBlock<'_>, _: &mut [f64]) {
         unreachable!("one-die groups always take the per-die path")
     }
 }
 
-impl<S, L, F, M, G> Evaluator<S> for Blocks<L, F, G>
+impl<S, F, M, G> Evaluator<S> for Blocks<F, G>
 where
-    L: Lane,
     F: Fn(&S, &FaultMap) -> M + Sync,
     M: DieMetric,
-    G: Fn(&S, &DieBlock<'_, L>, &mut [f64]) + Sync,
+    G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
 {
-    type Lane = L;
     type Error = M::Error;
-    const BLOCK_DIES: usize = L::LANES;
+    const BLOCK_DIES: usize = W256::LANES;
 
     fn die(&self, scheme: &S, map: &FaultMap) -> Result<f64, M::Error> {
         (self.die)(scheme, map).into_result()
     }
 
-    fn block(&self, scheme: &S, block: &DieBlock<'_, L>, out: &mut [f64]) {
+    fn block(&self, scheme: &S, block: &DieBlock<'_>, out: &mut [f64]) {
         (self.block)(scheme, block, out);
     }
 }
@@ -1422,18 +1408,10 @@ mod tests {
         // A per-die metric computable from both representations: the die's
         // fault count. The block path must reproduce the per-sample path's
         // records exactly — indices, weights, metric values, order — for
-        // non-multiple-of-lane-width plans, any shard split, both map
-        // policies, and both lane widths.
-        use faultmit_memsim::{Backend, BackendKind, W256};
+        // non-multiple-of-lane-width plans, any shard split and both map
+        // policies.
+        use faultmit_memsim::{Backend, BackendKind};
         let count_block = |_: &Scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-            out[..block.die_count()].fill(0.0);
-            for row in block.rows() {
-                for cell in row.cells {
-                    cell.presence().for_each_die(|die| out[die] += 1.0);
-                }
-            }
-        };
-        let count_block_wide = |_: &Scheme, block: &DieBlock<'_, W256>, out: &mut [f64]| {
             out[..block.die_count()].fill(0.0);
             for row in block.rows() {
                 for cell in row.cells {
@@ -1450,20 +1428,21 @@ mod tests {
             ] {
                 let backend =
                     Backend::at_p_cell(kind, MemoryConfig::new(128, 32).unwrap(), 1e-3).unwrap();
-                // 7 samples per count × 13 counts = 91 samples: chunks of
-                // 70 split into one 64-die block plus a 6-die block, and
-                // the last chunk leaves a 21-die block.
+                // 49 samples per count × 13 counts = 637 samples: the
+                // first 513-sample chunk splits into two full 256-die
+                // blocks plus a lone per-die tail, and the last chunk
+                // leaves a 124-die block that ends inside its second lane
+                // word.
                 let base = CampaignConfig::for_backend(backend)
                     .unwrap()
-                    .with_samples_per_count(7)
+                    .with_samples_per_count(49)
                     .with_max_failures(13)
-                    .with_chunk_size(70)
+                    .with_chunk_size(513)
                     .with_map_policy(policy);
                 let campaign = Campaign::new(base);
                 let reference = collect(&campaign, &schemes, 23, ShardSpec::solo(), count_sample);
-                for shard_count in [1usize, 3] {
+                for shard_count in [1usize, 2] {
                     let mut merged = CollectRecords::new();
-                    let mut merged_wide = CollectRecords::new();
                     for index in 0..shard_count {
                         let shard = ShardSpec::new(index, shard_count).unwrap();
                         let (part, _) = campaign
@@ -1476,22 +1455,8 @@ mod tests {
                             )
                             .unwrap();
                         merged.merge(part);
-                        let (part, _) = campaign
-                            .execute(
-                                &schemes,
-                                23,
-                                shard,
-                                blocks(count_sample, count_block_wide),
-                                CollectRecords::new,
-                            )
-                            .unwrap();
-                        merged_wide.merge(part);
                     }
                     assert_eq!(merged, reference, "{kind} {policy:?} {shard_count} shards");
-                    assert_eq!(
-                        merged_wide, reference,
-                        "{kind} {policy:?} {shard_count} shards (W256 lanes)"
-                    );
                 }
             }
         }

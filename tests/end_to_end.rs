@@ -5,15 +5,16 @@
 use faultmit::analysis::{memory_mse, MonteCarloConfig, MonteCarloEngine};
 use faultmit::core::{MitigationScheme, Scheme, SegmentGeometry, ShuffledMemory};
 use faultmit::ecc::{DecodeOutcome, EccMemory, PeccMemory};
-use faultmit::memsim::{DieSampler, Fault, FaultMap, MarchBist, MemoryConfig, SramArray};
+use faultmit::memsim::{Fault, FaultMap, FaultMapSampler, MarchBist, MemoryConfig, SramArray};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn sample_die(rows: usize, p_cell: f64, seed: u64) -> FaultMap {
     let config = MemoryConfig::new(rows, 32).unwrap();
-    let sampler = DieSampler::new(config, p_cell).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    sampler.sample_die(&mut rng).unwrap()
+    FaultMapSampler::new(config)
+        .sample_with_p_cell(&mut rng, p_cell)
+        .unwrap()
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Equivalence suite for the evaluation kernels: the sparse MSE kernel
 //! (`memory_mse_sparse*`, built on `observe_sparse` and the flat fault
-//! map's row groups) and the bit-sliced block kernels (`block_mse_into` over
-//! `DieBlock` lanes of any width, with a per-die tail) must be
+//! map's row groups) and the bit-sliced block kernel (`block_mse_into` over
+//! 256-die `DieBlock` lanes, with a per-die tail) must be
 //! **bit-identical** to the scalar `observe`-based oracle
 //! (`memory_mse_for_data`) on every backend, image, and fault-kind law,
 //! all run through `Campaign::execute`; the engine's `sparse`,
@@ -19,7 +19,7 @@ use faultmit::analysis::{
 use faultmit::core::Scheme;
 use faultmit::memsim::{
     Backend, BackendKind, BlockScratch, DieBatch, DieBlock, DieScratch, FaultBackend, FaultKindLaw,
-    FaultMap, ImageSpec, Lane, MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder, W256,
+    FaultMap, ImageSpec, MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder, W256,
 };
 use faultmit::sim::{
     blocks, per_die, Accumulator, Campaign, CampaignConfig, CollectRecords, Evaluator, KernelKind,
@@ -276,12 +276,36 @@ impl SweepRng {
     }
 }
 
-/// The bit-sliced block kernels join the equivalence family: across a
+/// Which block shapes a campaign plan hands the block kernel, given the
+/// executor's grouping: each chunk splits into full `W256::LANES` blocks
+/// plus one remainder, and a one-sample remainder takes the per-die tail.
+#[derive(Debug, Default)]
+struct BlockShapes {
+    full_block: bool,
+    word_crossing_partial: bool,
+    lone_tail: bool,
+}
+
+impl BlockShapes {
+    fn observe(&mut self, samples: usize, chunk_size: usize) {
+        for start in (0..samples).step_by(chunk_size) {
+            let len = chunk_size.min(samples - start);
+            self.full_block |= len >= W256::LANES;
+            match len % W256::LANES {
+                1 => self.lone_tail = true,
+                rem if rem > 64 => self.word_crossing_partial = true,
+                _ => {}
+            }
+        }
+    }
+}
+
+/// The bit-sliced block kernel joins the equivalence family: across a
 /// randomized sweep of backend × image × kind-law × campaign shape —
-/// including budgets that are **not** multiples of either the 64-die or the
-/// 256-die lane width, so the per-die tail and partial trailing blocks are
-/// exercised in both widths — the `sparse` kernel and the block kernels at
-/// both lane widths agree with the scalar oracle bit for bit, sample for
+/// including budgets that are **not** multiples of the 256-die lane width,
+/// and chunk sizes that produce full blocks, partial blocks crossing the
+/// `W256` word boundaries and lone per-die tails — the `sparse` kernel and
+/// the block kernel agree with the scalar oracle bit for bit, sample for
 /// sample, and the engine's `sparse`, `bitsliced256` and `auto` kernels
 /// accumulate exactly the oracle's state. The block runs generate faults
 /// through the lane-interleaved wide RNG path (on backends that opt in), so
@@ -292,17 +316,25 @@ impl SweepRng {
 fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
     let schemes = Scheme::fig5_catalogue();
     let mut sweep = SweepRng(SEED | 1);
+    let mut shapes = BlockShapes::default();
+    let mut combo = 0usize;
     for kind in BackendKind::ALL {
         for law in kind_laws() {
             for spec in images() {
                 // Odd budgets on both axes keep the total sample count an
-                // odd number: never a multiple of 64 (let alone 256),
-                // frequently below one full block, sometimes several
-                // narrow blocks plus a tail — and always a partial block
-                // plus tail for the 256-die width.
-                let samples_per_count = 2 * sweep.pick(1, 4) + 1;
+                // odd number, never a multiple of 64 (let alone 256). The
+                // chunk-size class rotates so every block shape recurs:
+                // small chunks (many small blocks, lone tails), one partial
+                // block per chunk that crosses lane words, and chunks past
+                // one full block with a remainder.
                 let max_failures = 2 * sweep.pick(2, 5) as u64 + 1;
-                let chunk_size = sweep.pick(1, 17);
+                let (samples_per_count, chunk_size) = match combo % 3 {
+                    0 => (2 * sweep.pick(1, 4) + 1, sweep.pick(1, 17)),
+                    1 => (2 * sweep.pick(4, 12) + 1, sweep.pick(65, 255)),
+                    _ => (2 * sweep.pick(24, 32) + 1, sweep.pick(257, 400)),
+                };
+                combo += 1;
+                shapes.observe(samples_per_count * max_failures as usize, chunk_size);
                 let memory = MemoryConfig::new(64 + sweep.pick(0, 192), 32).unwrap();
                 let backend = Backend::at_p_cell(kind, memory, 2e-3)
                     .unwrap()
@@ -329,23 +361,15 @@ fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
 
                 let scalar = records(config, &schemes, per_die(oracle_metric));
                 let sparse = records(config, &schemes, per_die(sparse_metric));
-                let narrow = records(
+                let bitsliced = records(
                     config,
                     &schemes,
                     blocks(sparse_metric, |scheme, block: &DieBlock<'_>, out| {
                         block_mse_into(scheme, block, written, out);
                     }),
                 );
-                let wide = records(
-                    config,
-                    &schemes,
-                    blocks(sparse_metric, |scheme, block: &DieBlock<'_, W256>, out| {
-                        block_mse_into(scheme, block, written, out);
-                    }),
-                );
                 assert_records_bit_identical(&scalar, &sparse, &context);
-                assert_records_bit_identical(&scalar, &narrow, &format!("{context} (u64 lanes)"));
-                assert_records_bit_identical(&scalar, &wide, &format!("{context} (W256 lanes)"));
+                assert_records_bit_identical(&scalar, &bitsliced, &format!("{context} (blocks)"));
 
                 // The engine's user-facing kernels, `auto` included (the
                 // sweep's densities resolve it both ways), against the
@@ -384,8 +408,8 @@ fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
                         n_faults: 1 + index / samples_per_count as u64,
                     })
                     .collect();
-                let mut wide_gen = BlockScratch::<W256>::new(memory);
-                let mut scalar_gen = BlockScratch::<W256>::new(memory);
+                let mut wide_gen = BlockScratch::new(memory);
+                let mut scalar_gen = BlockScratch::new(memory);
                 scalar_gen.set_wide_generation(false);
                 let mut wide_out = vec![0.0; W256::LANES];
                 let mut scalar_out = vec![0.0; W256::LANES];
@@ -412,6 +436,10 @@ fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
             }
         }
     }
+    assert!(
+        shapes.full_block && shapes.word_crossing_partial && shapes.lone_tail,
+        "the sweep must cover every block shape: {shapes:?}"
+    );
 }
 
 /// Steady-state die generation through the arena performs **zero** heap
@@ -443,18 +471,18 @@ fn die_generation_reaches_zero_allocation_steady_state() {
     }
 }
 
-/// The transposed block path holds the same guarantee at any lane width:
-/// once the lane buffers have grown to the campaign's peak demand
-/// (`L::LANES` dies at the largest fault count), steady-state
+/// The transposed block path holds the same guarantee: once the lane
+/// buffers have grown to the campaign's peak demand (`W256::LANES` dies at
+/// the largest fault count), steady-state
 /// `generate_block` calls — full blocks and partial tails alike — never
 /// touch the heap. The gate runs with lane-interleaved wide generation
 /// both on (the default, exercising the `WideRng` batch path on backends
-/// that opt in) and off (the per-die scalar path), since the two paths
-/// use different working buffers.
-fn block_zero_alloc_gate<L: Lane>(width_label: &str, wide_generation: bool) {
+/// that opt in) and off (the per-die scalar path), one test each, since
+/// the two paths use different working buffers.
+fn block_zero_alloc_gate(label: &str, wide_generation: bool) {
     let memory = MemoryConfig::new(256, 32).unwrap();
     let seeder = StreamSeeder::new(SEED);
-    let lanes = L::LANES as u64;
+    let lanes = W256::LANES as u64;
     let block_plan = |start: u64, len: usize, n_faults: &dyn Fn(u64) -> u64| {
         (0..len as u64)
             .map(|j| PlannedSample {
@@ -465,12 +493,12 @@ fn block_zero_alloc_gate<L: Lane>(width_label: &str, wide_generation: bool) {
     };
     for kind in BackendKind::ALL {
         let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
-        let mut scratch = BlockScratch::<L>::new(memory);
+        let mut scratch = BlockScratch::new(memory);
         scratch.set_wide_generation(wide_generation);
         // Warm-up: full blocks at the peak fault count grow every lane
         // buffer to the campaign's maximum demand.
         for block in 0..4u64 {
-            let plan = block_plan(block * lanes, L::LANES, &|_| 48);
+            let plan = block_plan(block * lanes, W256::LANES, &|_| 48);
             scratch
                 .generate_block(&backend, &seeder, &plan, None)
                 .unwrap();
@@ -480,7 +508,7 @@ fn block_zero_alloc_gate<L: Lane>(width_label: &str, wide_generation: bool) {
             let start = 4 * lanes + block * lanes;
             // Partial tails (any length up to the lane width) and varying
             // per-die fault counts must all stay inside grown capacity.
-            let len = 1 + (block as usize * 13) % L::LANES;
+            let len = 1 + (block as usize * 13) % W256::LANES;
             let plan = block_plan(start, len, &|index| 1 + index % 48);
             scratch
                 .generate_block(&backend, &seeder, &plan, None)
@@ -489,22 +517,22 @@ fn block_zero_alloc_gate<L: Lane>(width_label: &str, wide_generation: bool) {
         assert_eq!(
             scratch.realloc_events(),
             after_warmup,
-            "{kind} ({width_label}, wide_generation={wide_generation}): \
+            "{kind} ({label}, wide_generation={wide_generation}): \
              steady-state block generation must not touch the heap"
         );
     }
 }
 
+/// The per-die scalar generation path (wide generation off).
 #[test]
 fn block_generation_reaches_zero_allocation_steady_state() {
-    block_zero_alloc_gate::<u64>("64-die u64 lanes", true);
-    block_zero_alloc_gate::<u64>("64-die u64 lanes", false);
+    block_zero_alloc_gate("metrics off", false);
 }
 
+/// The lane-interleaved wide generation path (the default).
 #[test]
 fn wide_block_generation_reaches_zero_allocation_steady_state() {
-    block_zero_alloc_gate::<W256>("256-die W256 lanes", true);
-    block_zero_alloc_gate::<W256>("256-die W256 lanes", false);
+    block_zero_alloc_gate("metrics off", true);
 }
 
 /// The zero-allocation guarantee holds with metrics recording switched on:
@@ -519,8 +547,7 @@ fn zero_allocation_steady_state_holds_with_metrics_recording_on() {
     let guard = obs::install(&recorder);
 
     die_generation_reaches_zero_allocation_steady_state();
-    block_zero_alloc_gate::<u64>("64-die u64 lanes, metrics on", true);
-    block_zero_alloc_gate::<W256>("256-die W256 lanes, metrics on", true);
+    block_zero_alloc_gate("metrics on", true);
 
     drop(guard);
     let snapshot = recorder.snapshot();
