@@ -12,19 +12,21 @@
 //!   to obtain the yield at a given quality constraint;
 //! * [`MonteCarloEngine`] — the fault-injection campaign that sweeps failure
 //!   counts, draws random fault maps and produces per-scheme MSE CDFs
-//!   (the Fig. 5 series);
+//!   (the Fig. 5 series), configured by one
+//!   [`faultmit_sim::CampaignConfig`];
 //! * [`report`] — plain-text table helpers used by the figure-regeneration
 //!   binaries.
 //!
 //! # Example
 //!
 //! ```
-//! use faultmit_analysis::{MonteCarloConfig, MonteCarloEngine};
+//! use faultmit_analysis::MonteCarloEngine;
 //! use faultmit_core::Scheme;
 //! use faultmit_memsim::MemoryConfig;
+//! use faultmit_sim::CampaignConfig;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let config = MonteCarloConfig::new(MemoryConfig::new(256, 32)?, 1e-4)?
+//! let config = CampaignConfig::new(MemoryConfig::new(256, 32)?, 1e-4)?
 //!     .with_samples_per_count(20)
 //!     .with_max_failures(8);
 //! let engine = MonteCarloEngine::new(config);
@@ -49,7 +51,7 @@ pub mod yield_model;
 pub use accumulate::CatalogueAccumulator;
 pub use cdf::{CdfSketch, EmpiricalCdf};
 pub use error::AnalysisError;
-pub use mc_engine::{MonteCarloConfig, MonteCarloEngine, SchemeMseResult};
+pub use mc_engine::{MonteCarloEngine, SchemeMseResult};
 pub use mse::{
     block_mse_into, memory_mse, memory_mse_for_data, memory_mse_sparse, memory_mse_sparse_with,
     row_squared_error, word_squared_error,

@@ -17,309 +17,9 @@ use crate::error::AnalysisError;
 use crate::mse::{block_mse_into, memory_mse_sparse_with};
 use crate::yield_model::YieldModel;
 use faultmit_core::MitigationScheme;
-use faultmit_memsim::{
-    DieBlock, FailureCountDistribution, FaultBackend, ImageSpec, MemoryConfig, OperatingPoint,
-    SramVddBackend,
-};
+use faultmit_memsim::{DieBlock, FaultBackend, ImageSpec, SramVddBackend};
 use faultmit_obs as obs;
-use faultmit_sim::{
-    blocks, per_die, Campaign, CampaignConfig, KernelKind, Parallelism, ShardSpec, ShardStats,
-    SimError,
-};
-
-/// Configuration of one Monte-Carlo campaign, generic over the
-/// fault-generating [`FaultBackend`] (default: the paper's SRAM
-/// voltage-scaling model, keeping the legacy `(memory, p_cell)` call sites
-/// bit-identical).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonteCarloConfig<B: FaultBackend = SramVddBackend> {
-    backend: B,
-    samples_per_count: usize,
-    max_failures: Option<u64>,
-    coverage: f64,
-    parallelism: Parallelism,
-    chunk_size: usize,
-    image: ImageSpec,
-    kernel: KernelKind,
-    auto_threshold: Option<f64>,
-}
-
-impl MonteCarloConfig<SramVddBackend> {
-    /// Creates an SRAM campaign over a memory with the given geometry and
-    /// cell failure probability — equivalent to
-    /// [`MonteCarloConfig::for_backend`] with
-    /// [`SramVddBackend::with_p_cell`].
-    ///
-    /// Defaults: 100 fault maps per failure count, failure counts up to the
-    /// 99th percentile of the binomial distribution (the paper's `N_max`
-    /// choice), one pipeline worker per CPU.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::InvalidParameter`] when `p_cell` is outside
-    /// `[0, 1]`.
-    pub fn new(memory: MemoryConfig, p_cell: f64) -> Result<Self, AnalysisError> {
-        if !(0.0..=1.0).contains(&p_cell) || p_cell.is_nan() {
-            return Err(AnalysisError::InvalidParameter {
-                reason: format!("cell failure probability {p_cell} outside [0, 1]"),
-            });
-        }
-        Ok(Self::for_backend(
-            SramVddBackend::with_p_cell(memory, p_cell).map_err(AnalysisError::from)?,
-        ))
-    }
-
-    /// The paper's Fig. 5 campaign: 16 KB memory, `P_cell = 5·10⁻⁶`.
-    ///
-    /// # Errors
-    ///
-    /// Never fails; kept fallible for signature uniformity.
-    pub fn paper_fig5() -> Result<Self, AnalysisError> {
-        Self::new(MemoryConfig::paper_16kb(), 5e-6)
-    }
-
-    /// The paper's Fig. 7 campaign memory model: 16 KB memory,
-    /// `P_cell = 10⁻³`.
-    ///
-    /// # Errors
-    ///
-    /// Never fails; kept fallible for signature uniformity.
-    pub fn paper_fig7() -> Result<Self, AnalysisError> {
-        Self::new(MemoryConfig::paper_16kb(), 1e-3)
-    }
-}
-
-impl<B: FaultBackend> MonteCarloConfig<B> {
-    /// Creates a campaign drawing dies from the given backend, with the
-    /// same defaults as [`MonteCarloConfig::new`].
-    #[must_use]
-    pub fn for_backend(backend: B) -> Self {
-        Self {
-            backend,
-            samples_per_count: 100,
-            max_failures: None,
-            coverage: 0.99,
-            parallelism: Parallelism::default(),
-            chunk_size: 32,
-            image: ImageSpec::Zeros,
-            kernel: KernelKind::default(),
-            auto_threshold: None,
-        }
-    }
-
-    /// Sets the number of random fault maps drawn per failure count
-    /// (the paper uses 500 for the application study).
-    #[must_use]
-    pub fn with_samples_per_count(mut self, samples: usize) -> Self {
-        self.samples_per_count = samples.max(1);
-        self
-    }
-
-    /// Caps the largest failure count that is simulated.
-    #[must_use]
-    pub fn with_max_failures(mut self, max_failures: u64) -> Self {
-        self.max_failures = Some(max_failures);
-        self
-    }
-
-    /// Sets the probability mass that the automatically derived `N_max` must
-    /// cover (default 0.99, the paper's choice).
-    #[must_use]
-    pub fn with_coverage(mut self, coverage: f64) -> Self {
-        self.coverage = coverage.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the pipeline worker policy (serial, fixed thread count, or one
-    /// worker per CPU). Results are identical for every setting.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the pipeline chunk size (scheduling granularity; does not affect
-    /// results).
-    #[must_use]
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size.max(1);
-        self
-    }
-
-    /// Sets the data image the MSE is evaluated against (default:
-    /// [`ImageSpec::Zeros`], the paper's all-zeros background and the
-    /// engine's bit-identical fast path).
-    ///
-    /// With any other image the engine applies faults *relative to the
-    /// stored word*: a stuck-at fault that agrees with the data is silent,
-    /// so the asymmetric [`faultmit_memsim::FaultKindLaw`]s finally
-    /// differentiate schemes. Self-contained images materialise inside the
-    /// engine; [`ImageSpec::App`] images must be materialised by the apps
-    /// layer and passed as the `data` of
-    /// [`MonteCarloEngine::run_catalogue_shard`].
-    #[must_use]
-    pub fn with_image(mut self, image: ImageSpec) -> Self {
-        self.image = image;
-        self
-    }
-
-    /// The data image the MSE is evaluated against.
-    #[must_use]
-    pub fn image(&self) -> ImageSpec {
-        self.image
-    }
-
-    /// Selects the evaluation kernel (default: [`KernelKind::Sparse`]).
-    ///
-    /// All kernels accumulate **bit-identical** results — the choice only
-    /// trades throughput: `sparse` is event-driven, `bitsliced256`
-    /// evaluates up to 256 dies per [`W256`](faultmit_memsim::W256) lane, and `auto` resolves to
-    /// `sparse` or `bitsliced256` from the campaign's expected fault
-    /// density before any sampling happens (see
-    /// [`MonteCarloConfig::resolved_kernel`]).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The evaluation kernel campaigns run with, as configured (`auto`
-    /// stays `auto`; see [`MonteCarloConfig::resolved_kernel`] for the
-    /// kernel that actually executes).
-    #[must_use]
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
-    }
-
-    /// Overrides the density threshold (in expected faults per row) at
-    /// which [`KernelKind::Auto`] picks the dense bit-sliced kernel over
-    /// the sparse one — the `--auto-threshold` CLI knob. `None` (the
-    /// default) keeps [`faultmit_sim::AUTO_FAULTS_PER_ROW_THRESHOLD`].
-    /// Fixed kernels ignore the threshold entirely.
-    #[must_use]
-    pub fn with_auto_threshold(mut self, auto_threshold: Option<f64>) -> Self {
-        self.auto_threshold = auto_threshold;
-        self
-    }
-
-    /// The configured `auto`-kernel density threshold override, if any.
-    #[must_use]
-    pub fn auto_threshold(&self) -> Option<f64> {
-        self.auto_threshold
-    }
-
-    /// The fixed kernel this configuration's [`KernelKind`] resolves to:
-    /// fixed kernels return themselves, while [`KernelKind::Auto`] applies
-    /// the density policy of [`KernelKind::resolve`] to this campaign's
-    /// expected faults per die — `(1 + N_max) / 2`, the mean of the uniform
-    /// per-count plan. The resolution depends only on the configuration, so
-    /// every shard of a campaign resolves identically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from building the failure distribution.
-    pub fn resolved_kernel(&self) -> Result<KernelKind, AnalysisError> {
-        #[allow(clippy::cast_precision_loss)]
-        let expected_faults_per_die = (1.0 + self.effective_max_failures()? as f64) / 2.0;
-        let threshold = self
-            .auto_threshold
-            .unwrap_or(faultmit_sim::AUTO_FAULTS_PER_ROW_THRESHOLD);
-        Ok(self.kernel.resolve_with_threshold(
-            expected_faults_per_die,
-            self.memory().rows(),
-            threshold,
-        ))
-    }
-
-    /// The fault-generating backend under study.
-    #[must_use]
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// The backend's operating point (the technology knob this campaign is
-    /// evaluated at — `V_DD` for SRAM, refresh interval + temperature for
-    /// DRAM, level spacing + drift time for MLC NVM).
-    #[must_use]
-    pub fn operating_point(&self) -> OperatingPoint {
-        self.backend.operating_point()
-    }
-
-    /// Memory geometry under study.
-    #[must_use]
-    pub fn memory(&self) -> MemoryConfig {
-        self.backend.config()
-    }
-
-    /// Marginal cell failure probability at the backend's operating point.
-    #[must_use]
-    pub fn p_cell(&self) -> f64 {
-        self.backend.p_cell()
-    }
-
-    /// Number of fault maps per failure count.
-    #[must_use]
-    pub fn samples_per_count(&self) -> usize {
-        self.samples_per_count
-    }
-
-    /// The configured pipeline worker policy.
-    #[must_use]
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// The failure-count distribution implied by the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid-probability errors (none occur for a validated
-    /// configuration).
-    pub fn failure_distribution(&self) -> Result<FailureCountDistribution, AnalysisError> {
-        Ok(self.backend.failure_distribution()?)
-    }
-
-    /// The largest failure count that will be simulated.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from building the failure distribution.
-    pub fn effective_max_failures(&self) -> Result<u64, AnalysisError> {
-        match self.max_failures {
-            Some(n) => Ok(n),
-            None => Ok(self.failure_distribution()?.n_max(self.coverage)),
-        }
-    }
-
-    /// The equivalent pipeline configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation errors.
-    pub fn to_campaign_config(&self) -> Result<CampaignConfig<B>, AnalysisError>
-    where
-        B: Clone,
-    {
-        let mut config = CampaignConfig::for_backend(self.backend.clone())
-            .map_err(sim_to_analysis_error)?
-            .with_samples_per_count(self.samples_per_count)
-            .with_coverage(self.coverage)
-            .with_chunk_size(self.chunk_size)
-            .with_parallelism(self.parallelism)
-            .with_image(self.image);
-        if let Some(max) = self.max_failures {
-            config = config.with_max_failures(max);
-        }
-        Ok(config)
-    }
-}
-
-fn sim_to_analysis_error(error: SimError) -> AnalysisError {
-    match error {
-        SimError::InvalidParameter { reason } => AnalysisError::InvalidParameter { reason },
-        SimError::Memory(e) => AnalysisError::Memory(e),
-    }
-}
+use faultmit_sim::{blocks, per_die, Campaign, CampaignConfig, KernelKind, ShardSpec, ShardStats};
 
 /// The outcome of evaluating one protection scheme in a Monte-Carlo campaign.
 #[derive(Debug, Clone)]
@@ -354,22 +54,28 @@ impl SchemeMseResult {
 
 /// The Monte-Carlo fault-injection engine — an MSE-specialised facade over
 /// the parallel pipeline, generic over the fault-generating backend.
+///
+/// The campaign is one [`CampaignConfig`]: the backend, sampling budget,
+/// image and kernel choice all live there, and
+/// [`CampaignConfig::resolved_kernel`] picks the kernel the engine runs.
 #[derive(Debug, Clone)]
 pub struct MonteCarloEngine<B: FaultBackend = SramVddBackend> {
-    config: MonteCarloConfig<B>,
+    campaign: Campaign<B>,
 }
 
-impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
+impl<B: FaultBackend> MonteCarloEngine<B> {
     /// Creates an engine for the given campaign configuration.
     #[must_use]
-    pub fn new(config: MonteCarloConfig<B>) -> Self {
-        Self { config }
+    pub fn new(config: CampaignConfig<B>) -> Self {
+        Self {
+            campaign: Campaign::new(config),
+        }
     }
 
     /// The campaign configuration.
     #[must_use]
-    pub fn config(&self) -> &MonteCarloConfig<B> {
-        &self.config
+    pub fn config(&self) -> &CampaignConfig<B> {
+        self.campaign.config()
     }
 
     /// Runs the campaign for a single protection scheme (thin shim over
@@ -430,10 +136,13 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`AnalysisError::InvalidParameter`] when `data` has fewer
-    /// entries than the memory has rows, propagates the "resolve through
-    /// the apps layer" error of an [`ImageSpec::App`] image passed without
-    /// `data`, and propagates campaign errors.
+    /// Returns [`AnalysisError::InvalidParameter`] when the configuration
+    /// sets [`CampaignConfig::with_exact_failures`] (the MSE results weight
+    /// each failure count by its binomial probability, which a single fixed
+    /// count does not have) or when `data` has fewer entries than the memory
+    /// has rows, propagates the "resolve through the apps layer" error of an
+    /// [`ImageSpec::App`] image passed without `data`, and propagates
+    /// campaign errors.
     pub fn run_catalogue_shard<S: MitigationScheme + Sync>(
         &self,
         schemes: &[S],
@@ -441,8 +150,16 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
         shard: ShardSpec,
         data: Option<&[u64]>,
     ) -> Result<(CatalogueAccumulator, ShardStats), AnalysisError> {
+        if let Some(failures) = self.config().exact_failures() {
+            return Err(AnalysisError::InvalidParameter {
+                reason: format!(
+                    "exact failure count {failures}: the MSE engine weights the \
+                     binomial failure-count sweep"
+                ),
+            });
+        }
         if let Some(data) = data {
-            let rows = self.config.memory().rows();
+            let rows = self.config().memory().rows();
             if data.len() < rows {
                 return Err(AnalysisError::InvalidParameter {
                     reason: format!(
@@ -453,7 +170,7 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
             }
             return self.run_campaign_kernel(schemes, seed, shard, |row| data[row]);
         }
-        match self.config.image {
+        match self.config().image() {
             // `memory_mse_sparse` is `memory_mse_sparse_with` against the
             // `|_| 0` word source, so the zeros fast path and an explicit
             // zeros vector share one dispatcher without a bit of drift.
@@ -463,7 +180,7 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
                 // memsim's "resolve through the apps layer" error. The
                 // kernels gather image words per faulty row, so the image
                 // is never materialised memory-wide.
-                let image = spec.try_materialise(self.config.memory())?;
+                let image = spec.try_materialise(self.config().memory())?;
                 self.run_campaign_kernel(schemes, seed, shard, |row| image.word(row))
             }
         }
@@ -471,7 +188,7 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
 
     /// Dispatches one shard of the paired campaign to the configured
     /// evaluation kernel (`auto` resolves first, via
-    /// [`MonteCarloConfig::resolved_kernel`]), with `written` supplying the
+    /// [`CampaignConfig::resolved_kernel`]), with `written` supplying the
     /// stored word of every row. Both kernels fold the identical per-die
     /// squared-error sums in the identical order, so the returned
     /// accumulator is bit-identical across [`KernelKind`] choices.
@@ -486,26 +203,27 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
         S: MitigationScheme + Sync,
         W: Fn(usize) -> u64 + Sync,
     {
-        let campaign = Campaign::new(self.config.to_campaign_config()?);
         let accumulator = || CatalogueAccumulator::new(schemes.len());
         let metric = |scheme: &S, map: &_| memory_mse_sparse_with(scheme, map, &written);
         // One dispatch event per shard run: `auto` resolves before any
         // sampling, so the counters record the kernel that actually executed.
-        let run = match self.config.resolved_kernel()? {
+        let run = match self.config().resolved_kernel()? {
             KernelKind::Auto => unreachable!("resolved_kernel always returns a fixed kernel"),
             KernelKind::Sparse => {
                 obs::count(obs::Counter::DispatchSparse, 1);
-                campaign.execute(schemes, seed, shard, per_die(metric), accumulator)
+                self.campaign
+                    .execute(schemes, seed, shard, per_die(metric), accumulator)
             }
             KernelKind::Bitsliced256 => {
                 obs::count(obs::Counter::DispatchBitsliced256, 1);
                 let block = |scheme: &S, block: &DieBlock<'_>, out: &mut [f64]| {
                     block_mse_into(scheme, block, &written, out);
                 };
-                campaign.execute(schemes, seed, shard, blocks(metric, block), accumulator)
+                self.campaign
+                    .execute(schemes, seed, shard, blocks(metric, block), accumulator)
             }
         };
-        run.map_err(|error| sim_to_analysis_error(error.into()))
+        Ok(run.map_err(faultmit_sim::SimError::from)?)
     }
 
     /// Converts accumulated (possibly shard-merged) campaign state into the
@@ -531,8 +249,8 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
                 ),
             });
         }
-        let distribution = self.config.failure_distribution()?;
-        let max_failures = self.config.effective_max_failures()?;
+        let distribution = self.config().failure_distribution()?;
+        let max_failures = self.config().effective_max_failures()?;
         Ok(state
             .into_yield_models(distribution)
             .into_iter()
@@ -551,29 +269,14 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
 mod tests {
     use super::*;
     use faultmit_core::Scheme;
+    use faultmit_memsim::MemoryConfig;
+    use faultmit_sim::Parallelism;
 
-    fn small_config() -> MonteCarloConfig {
-        MonteCarloConfig::new(MemoryConfig::new(128, 32).unwrap(), 1e-3)
+    fn small_config() -> CampaignConfig {
+        CampaignConfig::new(MemoryConfig::new(128, 32).unwrap(), 1e-3)
             .unwrap()
             .with_samples_per_count(30)
             .with_max_failures(10)
-    }
-
-    #[test]
-    fn config_validation() {
-        assert!(MonteCarloConfig::new(MemoryConfig::paper_16kb(), -0.1).is_err());
-        assert!(MonteCarloConfig::new(MemoryConfig::paper_16kb(), 1.5).is_err());
-        assert!(MonteCarloConfig::paper_fig5().is_ok());
-        assert!(MonteCarloConfig::paper_fig7().is_ok());
-    }
-
-    #[test]
-    fn effective_max_failures_uses_coverage_or_override() {
-        let auto = MonteCarloConfig::new(MemoryConfig::paper_16kb(), 1e-3).unwrap();
-        let n_auto = auto.effective_max_failures().unwrap();
-        assert!(n_auto > 131, "n_max must exceed the mean failure count");
-        let capped = auto.with_max_failures(20);
-        assert_eq!(capped.effective_max_failures().unwrap(), 20);
     }
 
     #[test]
@@ -709,10 +412,11 @@ mod tests {
         for kind in BackendKind::ALL {
             let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
             let op = backend.operating_point();
-            let config = MonteCarloConfig::for_backend(backend)
+            let config = CampaignConfig::for_backend(backend)
+                .unwrap()
                 .with_samples_per_count(10)
                 .with_max_failures(6);
-            assert_eq!(config.operating_point(), op);
+            assert_eq!(config.backend().operating_point(), op);
             let engine = MonteCarloEngine::new(config);
             let results = engine.run_catalogue(&schemes, 29).unwrap();
             assert_eq!(results.len(), 2, "{kind}");
@@ -722,29 +426,6 @@ mod tests {
                 results[1].cdf.quantile(0.99) <= results[0].cdf.quantile(0.99),
                 "{kind}: shuffle q99 exceeds unprotected q99"
             );
-        }
-    }
-
-    #[test]
-    fn sram_backend_engine_matches_the_legacy_constructor_bit_for_bit() {
-        use faultmit_memsim::SramVddBackend;
-        let memory = MemoryConfig::new(128, 32).unwrap();
-        let legacy = MonteCarloEngine::new(
-            MonteCarloConfig::new(memory, 1e-3)
-                .unwrap()
-                .with_samples_per_count(15)
-                .with_max_failures(8),
-        );
-        let explicit = MonteCarloEngine::new(
-            MonteCarloConfig::for_backend(SramVddBackend::with_p_cell(memory, 1e-3).unwrap())
-                .with_samples_per_count(15)
-                .with_max_failures(8),
-        );
-        let schemes = [Scheme::unprotected32(), Scheme::secded32()];
-        let a = legacy.run_catalogue(&schemes, 41).unwrap();
-        let b = explicit.run_catalogue(&schemes, 41).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.cdf, y.cdf);
         }
     }
 
@@ -822,7 +503,8 @@ mod tests {
                 // 350 samples in chunks of 349: one full 256-die block, a
                 // 93-die partial block, then a lone sample on the per-die
                 // tail.
-                let config = MonteCarloConfig::for_backend(backend)
+                let config = CampaignConfig::for_backend(backend)
+                    .unwrap()
                     .with_samples_per_count(70)
                     .with_max_failures(5)
                     .with_chunk_size(349)
@@ -844,31 +526,36 @@ mod tests {
     }
 
     #[test]
-    fn auto_kernel_resolution_tracks_the_campaign_density() {
-        // 5 expected faults spread over 128 rows is far below the 8-per-row
-        // threshold → sparse; the same kernel over an 8-row memory crosses
-        // it → bitsliced256.
-        let sparse_config = MonteCarloConfig::new(MemoryConfig::new(128, 32).unwrap(), 1e-3)
-            .unwrap()
-            .with_max_failures(5)
-            .with_kernel(KernelKind::Auto);
-        assert_eq!(sparse_config.kernel(), KernelKind::Auto);
-        assert_eq!(sparse_config.resolved_kernel().unwrap(), KernelKind::Sparse);
-        let dense_config = MonteCarloConfig::new(MemoryConfig::new(8, 32).unwrap(), 1e-3)
-            .unwrap()
-            .with_max_failures(5)
-            .with_kernel(KernelKind::Auto);
-        assert_eq!(
-            dense_config.resolved_kernel().unwrap(),
-            KernelKind::Bitsliced256
+    fn bitsliced_kernel_matches_the_per_die_kernel_on_observe_only_schemes() {
+        use crate::mse::tests::Stripped;
+        let schemes = [Scheme::unprotected32(), Scheme::pecc32()].map(|inner| Stripped {
+            inner,
+            sparse: false,
+        });
+        // 300 samples in one chunk: a full 256-die block and a 44-die block.
+        let run = |kernel| {
+            let config = small_config().with_chunk_size(300).with_kernel(kernel);
+            MonteCarloEngine::new(config)
+                .run_catalogue_shard(&schemes, 19, ShardSpec::solo(), None)
+                .unwrap()
+                .0
+        };
+        assert_eq!(run(KernelKind::Sparse), run(KernelKind::Bitsliced256));
+    }
+
+    #[test]
+    fn exact_failure_campaigns_are_rejected() {
+        let engine = MonteCarloEngine::new(small_config().with_exact_failures(4));
+        let error = engine
+            .run_catalogue_shard(&[Scheme::unprotected32()], 1, ShardSpec::solo(), None)
+            .unwrap_err();
+        assert!(
+            matches!(error, AnalysisError::InvalidParameter { .. }),
+            "{error}"
         );
-        // Fixed kernels resolve to themselves.
-        assert_eq!(
-            sparse_config
-                .with_kernel(KernelKind::Bitsliced256)
-                .resolved_kernel()
-                .unwrap(),
-            KernelKind::Bitsliced256
+        assert!(
+            error.to_string().contains("exact failure count 4"),
+            "{error}"
         );
     }
 
@@ -884,7 +571,8 @@ mod tests {
             .unwrap();
         let build = |image| {
             MonteCarloEngine::new(
-                MonteCarloConfig::for_backend(backend)
+                CampaignConfig::for_backend(backend)
+                    .unwrap()
                     .with_samples_per_count(10)
                     .with_max_failures(6)
                     .with_image(image),

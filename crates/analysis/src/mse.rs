@@ -29,7 +29,7 @@
 //! **bit-identical** (the `kernel_equivalence` integration suite pins this).
 
 use faultmit_core::MitigationScheme;
-use faultmit_memsim::{DieBlock, Fault, FaultKind, FaultMap, ResidualLanes, W256};
+use faultmit_memsim::{die_row_faults, DieBlock, Fault, FaultMap, ResidualLanes, W256};
 use faultmit_obs as obs;
 
 /// Exact `4^b` for every data-bit position, precomputed so the hot
@@ -185,13 +185,13 @@ where
 /// sum starts from the same `-0.0` IEEE additive identity, and the
 /// column-order scatter folds the identical diff bits in the identical
 /// LSB-first order `word_squared_error(0, diff)` would. Schemes without a
-/// block path fall back to their sparse path per die.
+/// block path fall back per die to their sparse path, and schemes without
+/// a sparse path to `observe` on a map holding only the die's faults in
+/// that row (the one path that allocates).
 ///
 /// # Panics
 ///
-/// Panics if `out` is shorter than the block's die count, or if the scheme
-/// provides neither a block nor a sparse path (block evaluation requires a
-/// sparse-capable scheme).
+/// Panics if `out` is shorter than the block's die count.
 pub fn block_mse_into<S, W>(scheme: &S, block: &DieBlock<'_>, written: W, out: &mut [f64])
 where
     S: MitigationScheme + ?Sized,
@@ -224,29 +224,18 @@ where
         if scheme.observe_block(row.cells, stored, &mut residual) {
             block_rows += 1;
         } else {
-            // Per-die fallback through the sparse path: rebuild each dirty
-            // die's sorted fault slice on the stack.
+            // Per-die fallback: rebuild each dirty die's sorted fault slice
+            // on the stack and evaluate it like the sparse kernel does.
             fallback_rows += 1;
             let mut scratch = [Fault::bit_flip(0, 0); 64];
             row.dirty.for_each_die(|die| {
                 fallback_dies += 1;
-                let mut len = 0;
-                for cell in row.cells {
-                    if cell.presence().bit(die) != 0 {
-                        let kind = if cell.flips.bit(die) != 0 {
-                            FaultKind::BitFlip
-                        } else if cell.stuck_value.bit(die) != 0 {
-                            FaultKind::StuckAtOne
-                        } else {
-                            FaultKind::StuckAtZero
-                        };
-                        scratch[len] = Fault::new(row.row, cell.col as usize, kind);
-                        len += 1;
-                    }
-                }
-                let observed = scheme
-                    .observe_sparse(&scratch[..len], stored)
-                    .expect("block evaluation requires a sparse-capable scheme");
+                let faults = die_row_faults(row.cells, row.row, die, &mut scratch);
+                let observed = scheme.observe_sparse(faults, stored).unwrap_or_else(|| {
+                    let map = FaultMap::from_faults(block.config(), faults.iter().copied())
+                        .expect("block faults lie inside the block geometry");
+                    scheme.observe(&map, row.row, stored)
+                });
                 let mut diff = stored ^ observed.value;
                 while diff != 0 {
                     let col = diff.trailing_zeros() as usize;
@@ -284,7 +273,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use faultmit_core::Scheme;
     use faultmit_memsim::{Fault, MemoryConfig};
@@ -514,45 +503,54 @@ mod tests {
         }
     }
 
+    /// A catalogue scheme stripped of its block path and, unless `sparse`
+    /// is set, of its sparse path too — a custom scheme implementing only
+    /// the required trait methods.
+    pub(crate) struct Stripped {
+        pub(crate) inner: Scheme,
+        pub(crate) sparse: bool,
+    }
+
+    impl MitigationScheme for Stripped {
+        fn name(&self) -> String {
+            format!("stripped {}", self.inner.name())
+        }
+        fn word_bits(&self) -> usize {
+            self.inner.word_bits()
+        }
+        fn observe(
+            &self,
+            faults: &FaultMap,
+            row: usize,
+            written: u64,
+        ) -> faultmit_core::ObservedWord {
+            self.inner.observe(faults, row, written)
+        }
+        fn observe_sparse(
+            &self,
+            row_faults: &[Fault],
+            written: u64,
+        ) -> Option<faultmit_core::ObservedWord> {
+            self.sparse
+                .then(|| self.inner.observe_sparse(row_faults, written))
+                .flatten()
+        }
+        fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
+            self.inner.worst_case_error_magnitude(bit)
+        }
+        fn extra_bits_per_row(&self) -> usize {
+            self.inner.extra_bits_per_row()
+        }
+    }
+
     #[test]
     fn block_kernel_falls_back_for_schemes_without_a_block_path() {
-        use faultmit_memsim::{Backend, BackendKind, BlockScratch, PlannedSample, StreamSeeder};
-        // A sparse-capable scheme with no block path goes through the
-        // per-die fallback inside the block reduction and still agrees.
-        struct SparseOnly;
-        impl MitigationScheme for SparseOnly {
-            fn name(&self) -> String {
-                "sparse-only".to_owned()
-            }
-            fn word_bits(&self) -> usize {
-                32
-            }
-            fn observe(
-                &self,
-                faults: &FaultMap,
-                row: usize,
-                written: u64,
-            ) -> faultmit_core::ObservedWord {
-                let value = Scheme::unprotected32().observe(faults, row, written).value;
-                faultmit_core::ObservedWord {
-                    value,
-                    reliable: true,
-                }
-            }
-            fn observe_sparse(
-                &self,
-                row_faults: &[Fault],
-                written: u64,
-            ) -> Option<faultmit_core::ObservedWord> {
-                Scheme::unprotected32().observe_sparse(row_faults, written)
-            }
-            fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
-                1u64 << bit
-            }
-            fn extra_bits_per_row(&self) -> usize {
-                0
-            }
-        }
+        use faultmit_memsim::{
+            Backend, BackendKind, BlockScratch, DieScratch, PlannedSample, StreamSeeder,
+        };
+        // Schemes with only a sparse path, or only the required `observe`,
+        // go through the per-die fallback inside the block reduction and
+        // still match the per-die kernel bit for bit.
         let config = MemoryConfig::new(64, 32).unwrap();
         let seeder = StreamSeeder::new(11);
         let backend = Backend::at_p_cell(BackendKind::Sram, config, 1e-3).unwrap();
@@ -560,16 +558,33 @@ mod tests {
         let plan: Vec<PlannedSample> = (0..150u64)
             .map(|index| PlannedSample { index, n_faults: 8 })
             .collect();
+        let maps: Vec<FaultMap> = plan
+            .iter()
+            .map(|planned| {
+                let mut rng = seeder.rng_for_sample(planned.index);
+                DieScratch::new(config)
+                    .generate(&backend, &mut rng, planned.n_faults as usize)
+                    .unwrap()
+                    .clone()
+            })
+            .collect();
         let mut scratch = BlockScratch::new(config);
         let block = scratch
             .generate_block(&backend, &seeder, &plan, None)
             .unwrap();
         let mut out = vec![0.0f64; plan.len()];
-        block_mse_into(&SparseOnly, &block, |_| 0, &mut out);
-        let mut expected = vec![0.0f64; plan.len()];
-        block_mse_into(&Scheme::unprotected32(), &block, |_| 0, &mut expected);
-        for (a, b) in out.iter().zip(&expected) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for inner in [Scheme::unprotected32(), Scheme::pecc32()] {
+            for sparse in [true, false] {
+                block_mse_into(&Stripped { inner, sparse }, &block, |_| 0, &mut out);
+                for (j, map) in maps.iter().enumerate() {
+                    assert_eq!(
+                        out[j].to_bits(),
+                        memory_mse_sparse_with(&inner, map, |_| 0).to_bits(),
+                        "{} sparse={sparse} die {j}",
+                        inner.name()
+                    );
+                }
+            }
         }
     }
 

@@ -3,9 +3,10 @@
 //! end-to-end campaign.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use faultmit_analysis::{memory_mse, MonteCarloConfig, MonteCarloEngine};
+use faultmit_analysis::{memory_mse, MonteCarloEngine};
 use faultmit_core::Scheme;
 use faultmit_memsim::{FaultMapSampler, MemoryConfig};
+use faultmit_sim::CampaignConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,7 +51,7 @@ fn bench_mse_per_scheme(c: &mut Criterion) {
 fn bench_small_campaign(c: &mut Criterion) {
     let mut group = c.benchmark_group("mc_campaign");
     group.sample_size(10);
-    let config = MonteCarloConfig::new(MemoryConfig::new(512, 32).unwrap(), 1e-4)
+    let config = CampaignConfig::new(MemoryConfig::new(512, 32).unwrap(), 1e-4)
         .unwrap()
         .with_samples_per_count(10)
         .with_max_failures(6);

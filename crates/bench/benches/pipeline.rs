@@ -21,9 +21,7 @@
 //! the `host_cpus` stamp inside each JSON section to interpret the rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use faultmit_analysis::{
-    block_mse_into, memory_mse_sparse_with, MonteCarloConfig, MonteCarloEngine,
-};
+use faultmit_analysis::{block_mse_into, memory_mse_sparse_with, MonteCarloEngine};
 use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_core::Scheme;
 use faultmit_memsim::{DieBlock, FaultKindLaw, FaultMap, ImageSpec, MemoryConfig, SramVddBackend};
@@ -39,7 +37,7 @@ use std::time::Instant;
 /// dominate the paper's campaign, small enough per-iteration budget for a
 /// stable benchmark.
 fn operating_point(parallelism: Parallelism) -> MonteCarloEngine {
-    let config = MonteCarloConfig::new(MemoryConfig::paper_16kb(), 5e-6)
+    let config = CampaignConfig::new(MemoryConfig::paper_16kb(), 5e-6)
         .expect("valid paper P_cell")
         .with_samples_per_count(10)
         .with_max_failures(12)
@@ -282,8 +280,10 @@ fn push_point<W>(
 
     let (sparse, sparse_metrics) = timed(&time_sparse);
     let (bitsliced256, bitsliced256_metrics) = timed(&time_wide);
-    let resolved =
-        KernelKind::Auto.resolve(config.expected_faults_per_die().unwrap(), memory.rows());
+    let resolved = config
+        .with_kernel(KernelKind::Auto)
+        .resolved_kernel()
+        .unwrap();
     // The auto row re-times the resolved kernel end to end, so any gap
     // between `auto` and its fixed twin is pure measurement noise.
     let (auto_name, (auto, auto_metrics)) = match resolved {

@@ -8,12 +8,10 @@ use super::{
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, format_sci, Table};
-use faultmit_analysis::{
-    CatalogueAccumulator, MonteCarloConfig, MonteCarloEngine, SchemeMseResult,
-};
+use faultmit_analysis::{CatalogueAccumulator, MonteCarloEngine, SchemeMseResult};
 use faultmit_core::{MitigationScheme, Scheme};
 use faultmit_memsim::{Backend, FaultBackend, MemoryConfig};
-use faultmit_sim::{Parallelism, ShardSpec, ShardStats};
+use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec, ShardStats};
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the Fig. 5 protocol.
@@ -52,7 +50,7 @@ impl Fig5Campaign {
         // memory and P_cell with a smaller budget.
         let max_failures = if spec.full_scale { 150 } else { 24 };
         let backend = Backend::at_p_cell(spec.backend_kind(), MemoryConfig::paper_16kb(), 5e-6)?;
-        let config = MonteCarloConfig::for_backend(backend)
+        let config = CampaignConfig::for_backend(backend)?
             .with_samples_per_count(spec.samples_per_count)
             .with_max_failures(max_failures)
             .with_parallelism(parallelism)
@@ -221,7 +219,7 @@ impl FigureDef for Fig5Def {
             "Fig. 5 campaign: 16KB memory, backend {} ({}), P_cell = {:.0e}, \
              failure counts 1..={}, {} maps per count",
             campaign.engine.config().backend().name(),
-            campaign.engine.config().operating_point().label(),
+            campaign.engine.config().backend().operating_point().label(),
             campaign.engine.config().p_cell(),
             campaign.max_failures,
             spec.samples_per_count,

@@ -8,13 +8,13 @@ use super::{
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, format_sci, Table};
-use faultmit_analysis::{MonteCarloConfig, MonteCarloEngine};
+use faultmit_analysis::MonteCarloEngine;
 use faultmit_core::{MitigationScheme, Scheme};
 use faultmit_memsim::{
     Backend, BackendKind, CellFailureModel, DramRetentionBackend, FaultBackend, MemoryConfig,
     MlcNvmBackend, SramVddBackend,
 };
-use faultmit_sim::{Parallelism, ShardSpec};
+use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec};
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the Fig. 8 protocol.
@@ -114,7 +114,7 @@ fn panel_engines(
             // operating point, bounded so aggressive corners stay cheap.
             let max_failures = backend.failure_distribution()?.n_max(0.99).clamp(1, cap);
             let engine = MonteCarloEngine::new(
-                MonteCarloConfig::for_backend(backend)
+                CampaignConfig::for_backend(backend)?
                     .with_samples_per_count(spec.samples_per_count)
                     .with_max_failures(max_failures)
                     .with_parallelism(parallelism)
@@ -258,7 +258,7 @@ impl FigureDef for Fig8Def {
         let mut rows = Vec::new();
         for ((kind, engine), panel) in engines.into_iter().zip(panels) {
             let (_, accumulator) = take_catalogue(panel, "fig8")?;
-            let op = engine.config().operating_point();
+            let op = engine.config().backend().operating_point();
             let p_cell = engine.config().p_cell();
             let results = engine.results_from_state(&schemes, accumulator)?;
             for result in &results {

@@ -19,13 +19,11 @@ use super::{
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, format_sci, Table};
-use faultmit_analysis::{
-    CatalogueAccumulator, MonteCarloConfig, MonteCarloEngine, SchemeMseResult,
-};
+use faultmit_analysis::{CatalogueAccumulator, MonteCarloEngine, SchemeMseResult};
 use faultmit_core::{MitigationScheme, Scheme};
 use faultmit_memsim::image::{AppImage, ImageSpec};
 use faultmit_memsim::{Backend, BackendKind, FaultBackend, FaultKindLaw, MemoryConfig};
-use faultmit_sim::{Parallelism, ShardSpec, ShardStats};
+use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec, ShardStats};
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the Fig. 9 protocol.
@@ -172,7 +170,7 @@ impl Fig9Campaign {
                         Backend::at_p_cell(kind, memory, FIG9_P_CELL)?.with_kind_law(law)?;
                     let max_failures = backend.failure_distribution()?.n_max(0.99).clamp(1, cap);
                     let engine = MonteCarloEngine::new(
-                        MonteCarloConfig::for_backend(backend)
+                        CampaignConfig::for_backend(backend)?
                             .with_samples_per_count(spec.samples_per_count)
                             .with_max_failures(max_failures)
                             .with_parallelism(parallelism)
@@ -419,7 +417,7 @@ impl FigureDef for Fig9Def {
                     backend: cell.kind.name(),
                     image: cell.image.to_string(),
                     kind_law: cell.law.to_string(),
-                    operating_point: cell.engine.config().operating_point().label(),
+                    operating_point: cell.engine.config().backend().operating_point().label(),
                     p_cell: cell.engine.config().p_cell(),
                     scheme: result.scheme_name.clone(),
                     mean_mse: mean,

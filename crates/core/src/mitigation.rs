@@ -19,7 +19,9 @@ use crate::fmlut::FmLut;
 use crate::segment::SegmentGeometry;
 use crate::shifter::{rotate_left, rotate_right};
 use faultmit_ecc::{HammingSecded, LaneCounter, SecdedCode};
-use faultmit_memsim::{corrupt_word, Fault, FaultKind, FaultMap, LaneCell, ResidualLanes, W256};
+use faultmit_memsim::{
+    corrupt_word, die_row_faults, Fault, FaultMap, LaneCell, ResidualLanes, W256,
+};
 use faultmit_obs as obs;
 
 /// The word an application observes after a faulty read, plus whether the
@@ -104,7 +106,10 @@ pub trait MitigationScheme {
     /// `false` means the scheme has no block path and the caller must fall
     /// back to per-die evaluation; the default always falls back, so custom
     /// schemes stay correct without opting in — the block kernel then
-    /// evaluates their dies through [`MitigationScheme::observe_sparse`].
+    /// rebuilds each dirty die's row faults and evaluates them through
+    /// [`MitigationScheme::observe_sparse`], or through
+    /// [`MitigationScheme::observe`] on a map holding only that row when
+    /// the scheme has no sparse path either.
     fn observe_block(
         &self,
         cells: &[LaneCell],
@@ -350,12 +355,7 @@ impl MitigationScheme for Scheme {
                 protected_bits,
             } => {
                 let corrupted = Self::corrupt(faults, row, written);
-                let unprotected_bits = word_bits - protected_bits;
-                let msb_mask = if *word_bits == 64 && unprotected_bits == 0 {
-                    u64::MAX
-                } else {
-                    (((1u64 << protected_bits) - 1) << unprotected_bits) & ((1u64 << word_bits) - 1)
-                };
+                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
                 let msb_errors = ((corrupted ^ written) & msb_mask).count_ones();
                 if msb_errors <= 1 {
                     // The protected slice is repaired; LSB errors pass through.
@@ -411,12 +411,7 @@ impl MitigationScheme for Scheme {
                 protected_bits,
             } => {
                 let corrupted = Self::corrupt_slice(row_faults, written);
-                let unprotected_bits = word_bits - protected_bits;
-                let msb_mask = if *word_bits == 64 && unprotected_bits == 0 {
-                    u64::MAX
-                } else {
-                    (((1u64 << protected_bits) - 1) << unprotected_bits) & ((1u64 << word_bits) - 1)
-                };
+                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
                 let msb_errors = ((corrupted ^ written) & msb_mask).count_ones();
                 if msb_errors <= 1 {
                     ObservedWord {
@@ -561,22 +556,11 @@ impl MitigationScheme for Scheme {
                     let mut fallback_dies = 0u64;
                     multi.for_each_die(|die| {
                         fallback_dies += 1;
-                        let mut len = 0;
-                        for cell in cells {
-                            if cell.presence().bit(die) != 0 {
-                                let kind = if cell.flips.bit(die) != 0 {
-                                    FaultKind::BitFlip
-                                } else if cell.stuck_value.bit(die) != 0 {
-                                    FaultKind::StuckAtOne
-                                } else {
-                                    FaultKind::StuckAtZero
-                                };
-                                scratch[len] = Fault::new(0, cell.col as usize, kind);
-                                len += 1;
-                            }
-                        }
+                        // The sparse path reads only columns and kinds, so
+                        // the row index is immaterial.
+                        let faults = die_row_faults(cells, 0, die, &mut scratch);
                         let observed = self
-                            .observe_sparse(&scratch[..len], written)
+                            .observe_sparse(faults, written)
                             .expect("a word has at most 64 columns");
                         let mut diff = written ^ observed.value;
                         while diff != 0 {
@@ -634,7 +618,7 @@ impl MitigationScheme for Scheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultmit_memsim::{Fault, MemoryConfig};
+    use faultmit_memsim::{Fault, FaultKind, MemoryConfig};
 
     fn map(faults: &[Fault]) -> FaultMap {
         let config = MemoryConfig::new(16, 32).unwrap();

@@ -75,7 +75,7 @@
 //! the chunk-order reduction are independent of how samples are batched.
 
 use crate::config::MemoryConfig;
-use crate::fault::FaultKind;
+use crate::fault::{Fault, FaultKind};
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
 
 /// A 256-die lane: four `u64` words with element-wise bit operations.
@@ -222,6 +222,39 @@ impl LaneCell {
     pub fn presence(&self) -> W256 {
         self.flips | self.stuck
     }
+}
+
+/// Rebuilds die `die`'s faults at `row` from that row's lane cells into
+/// `out`, returning the filled prefix: sorted by ascending column, exactly
+/// the slice [`FaultMap::row_faults`](crate::FaultMap::row_faults) holds for
+/// the die, so it can feed a per-die `observe_sparse` path.
+///
+/// # Panics
+///
+/// Panics if the die has more than 64 faulty cells in the row (a word has
+/// at most 64 columns, so well-formed `cells` never do).
+#[inline]
+pub fn die_row_faults<'f>(
+    cells: &[LaneCell],
+    row: usize,
+    die: usize,
+    out: &'f mut [Fault; 64],
+) -> &'f [Fault] {
+    let mut len = 0;
+    for cell in cells {
+        if cell.presence().bit(die) != 0 {
+            let kind = if cell.flips.bit(die) != 0 {
+                FaultKind::BitFlip
+            } else if cell.stuck_value.bit(die) != 0 {
+                FaultKind::StuckAtOne
+            } else {
+                FaultKind::StuckAtZero
+            };
+            out[len] = Fault::new(row, cell.col as usize, kind);
+            len += 1;
+        }
+    }
+    &out[..len]
 }
 
 /// One faulty row of a block: its index, its fault-presence (`dirty`) lane,
@@ -504,30 +537,18 @@ mod tests {
             .collect()
     }
 
-    /// Untransposes a block back into per-die fault lists.
-    fn untranspose(block: &DieBlock<'_>) -> Vec<Vec<crate::fault::Fault>> {
-        let mut rebuilt: Vec<Vec<crate::fault::Fault>> = vec![Vec::new(); block.die_count()];
-        for row in block.rows() {
-            for cell in row.cells {
-                for (die, faults) in rebuilt.iter_mut().enumerate() {
-                    let fault = if cell.flips.bit(die) != 0 {
-                        Some(crate::fault::Fault::bit_flip(row.row, cell.col as usize))
-                    } else if cell.stuck.bit(die) != 0 {
-                        Some(if cell.stuck_value.bit(die) != 0 {
-                            crate::fault::Fault::stuck_at_one(row.row, cell.col as usize)
-                        } else {
-                            crate::fault::Fault::stuck_at_zero(row.row, cell.col as usize)
-                        })
-                    } else {
-                        None
-                    };
-                    if let Some(fault) = fault {
-                        faults.push(fault);
-                    }
-                }
-            }
-        }
-        rebuilt
+    /// Untransposes a block back into per-die fault lists, row by row
+    /// through [`die_row_faults`].
+    fn untranspose(block: &DieBlock<'_>) -> Vec<Vec<Fault>> {
+        let mut scratch = [Fault::bit_flip(0, 0); 64];
+        (0..block.die_count())
+            .map(|die| {
+                block
+                    .rows()
+                    .flat_map(|row| die_row_faults(row.cells, row.row, die, &mut scratch).to_vec())
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub use backend::{
 };
 pub use bist::{BistReport, MarchBist, RowFaultReport};
 pub use config::MemoryConfig;
-pub use dieblock::{BlockRow, DieBlock, LaneCell, ResidualLanes, W256};
+pub use dieblock::{die_row_faults, BlockRow, DieBlock, LaneCell, ResidualLanes, W256};
 pub use error::MemError;
 pub use failure_model::{CellFailureModel, FailureModelBuilder};
 pub use fault::{Fault, FaultKind, FaultMap};

@@ -248,19 +248,12 @@ impl KernelKind {
     /// `rows` memory rows; fixed kernels return themselves unchanged.
     ///
     /// `Auto` picks [`KernelKind::Bitsliced256`] when the expected density
-    /// reaches [`AUTO_FAULTS_PER_ROW_THRESHOLD`] faults per row and
-    /// [`KernelKind::Sparse`] otherwise (including the degenerate
-    /// `rows == 0` case).
+    /// reaches `faults_per_row_threshold` faults per row (the default is
+    /// [`AUTO_FAULTS_PER_ROW_THRESHOLD`]; `--auto-threshold` overrides it)
+    /// and [`KernelKind::Sparse`] otherwise, including the degenerate
+    /// `rows == 0` case.
     #[must_use]
-    pub fn resolve(self, expected_faults_per_die: f64, rows: usize) -> KernelKind {
-        self.resolve_with_threshold(expected_faults_per_die, rows, AUTO_FAULTS_PER_ROW_THRESHOLD)
-    }
-
-    /// [`KernelKind::resolve`] with an explicit density threshold in faults
-    /// per row, the hook behind the `--auto-threshold` CLI override. The
-    /// default threshold is [`AUTO_FAULTS_PER_ROW_THRESHOLD`].
-    #[must_use]
-    pub fn resolve_with_threshold(
+    pub fn resolve(
         self,
         expected_faults_per_die: f64,
         rows: usize,
@@ -322,6 +315,8 @@ pub struct CampaignConfig<B: FaultBackend = SramVddBackend> {
     parallelism: Parallelism,
     map_policy: MapPolicy,
     image: ImageSpec,
+    kernel: KernelKind,
+    auto_threshold: Option<f64>,
 }
 
 impl CampaignConfig<SramVddBackend> {
@@ -331,8 +326,9 @@ impl CampaignConfig<SramVddBackend> {
     /// [`SramVddBackend::with_p_cell`].
     ///
     /// Defaults: 100 fault maps per failure count, failure counts up to the
-    /// 99th percentile of the binomial distribution, unrestricted maps,
-    /// chunked in blocks of 32 samples, one worker per CPU.
+    /// 99th percentile of the binomial distribution (the paper's `N_max`
+    /// choice), unrestricted maps, chunked in blocks of 32 samples, one
+    /// worker per CPU, the all-zeros image and the sparse kernel.
     ///
     /// # Errors
     ///
@@ -376,6 +372,8 @@ impl<B: FaultBackend> CampaignConfig<B> {
             parallelism: Parallelism::default(),
             map_policy: MapPolicy::default(),
             image: ImageSpec::Zeros,
+            kernel: KernelKind::default(),
+            auto_threshold: None,
         })
     }
 
@@ -454,6 +452,44 @@ impl<B: FaultBackend> CampaignConfig<B> {
         self.image
     }
 
+    /// Selects the evaluation kernel a data-aware evaluator layer (the MSE
+    /// engine of `faultmit-analysis`) dispatches to (default:
+    /// [`KernelKind::Sparse`]).
+    ///
+    /// All kernels accumulate **bit-identical** results; the choice only
+    /// trades throughput. `auto` resolves to `sparse` or `bitsliced256`
+    /// from the campaign's expected fault density before any sampling
+    /// happens (see [`CampaignConfig::resolved_kernel`]).
+    #[must_use]
+    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
+        self.kernel = kernel;
+        self
+    }
+
+    /// The evaluation kernel as configured (`auto` stays `auto`; see
+    /// [`CampaignConfig::resolved_kernel`] for the kernel that executes).
+    #[must_use]
+    pub fn kernel(&self) -> KernelKind {
+        self.kernel
+    }
+
+    /// Overrides the density threshold (in expected faults per row) at
+    /// which [`KernelKind::Auto`] picks the dense bit-sliced kernel over
+    /// the sparse one — the `--auto-threshold` CLI knob. `None` (the
+    /// default) keeps [`AUTO_FAULTS_PER_ROW_THRESHOLD`]. Fixed kernels
+    /// ignore the threshold.
+    #[must_use]
+    pub fn with_auto_threshold(mut self, auto_threshold: Option<f64>) -> Self {
+        self.auto_threshold = auto_threshold;
+        self
+    }
+
+    /// The configured `auto`-kernel density threshold override, if any.
+    #[must_use]
+    pub fn auto_threshold(&self) -> Option<f64> {
+        self.auto_threshold
+    }
+
     /// The fault-generating backend under study.
     #[must_use]
     pub fn backend(&self) -> &B {
@@ -529,6 +565,32 @@ impl<B: FaultBackend> CampaignConfig<B> {
             Some(n) => Ok(n as f64),
             None => Ok((1.0 + self.effective_max_failures()? as f64) / 2.0),
         }
+    }
+
+    /// The fixed kernel the configured [`KernelKind`] resolves to: fixed
+    /// kernels return themselves, and [`KernelKind::Auto`] applies
+    /// [`KernelKind::resolve`] to [`CampaignConfig::expected_faults_per_die`]
+    /// over the memory's rows at the configured (or default) threshold. The
+    /// answer depends only on the configuration, so every shard of a
+    /// campaign resolves identically.
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from building the failure distribution.
+    pub fn resolved_kernel(&self) -> Result<KernelKind, SimError> {
+        Ok(self.kernel.resolve(
+            self.expected_faults_per_die()?,
+            self.memory().rows(),
+            self.auto_threshold.unwrap_or(AUTO_FAULTS_PER_ROW_THRESHOLD),
+        ))
+    }
+
+    /// The fixed failure count of an exact-failure campaign (see
+    /// [`CampaignConfig::with_exact_failures`]); `None` for the binomial
+    /// sweep.
+    #[must_use]
+    pub fn exact_failures(&self) -> Option<u64> {
+        self.exact_failures
     }
 }
 
@@ -1373,24 +1435,28 @@ mod tests {
 
     #[test]
     fn auto_kernel_resolves_by_fault_density() {
+        let default = AUTO_FAULTS_PER_ROW_THRESHOLD;
         // Fixed kernels resolve to themselves regardless of density.
         for kernel in [KernelKind::Sparse, KernelKind::Bitsliced256] {
-            assert_eq!(kernel.resolve(1e9, 128), kernel);
-            assert_eq!(kernel.resolve(0.0, 128), kernel);
+            assert_eq!(kernel.resolve(1e9, 128, default), kernel);
+            assert_eq!(kernel.resolve(0.0, 128, default), kernel);
         }
         // Auto flips exactly at rows / 16 expected faults per die.
         let rows = 4096usize;
-        let threshold = rows as f64 * AUTO_FAULTS_PER_ROW_THRESHOLD;
+        let threshold = rows as f64 * default;
         assert_eq!(
-            KernelKind::Auto.resolve(threshold, rows),
+            KernelKind::Auto.resolve(threshold, rows, default),
             KernelKind::Bitsliced256
         );
         assert_eq!(
-            KernelKind::Auto.resolve(threshold - 1.0, rows),
+            KernelKind::Auto.resolve(threshold - 1.0, rows, default),
             KernelKind::Sparse
         );
         // Degenerate geometry falls back to sparse.
-        assert_eq!(KernelKind::Auto.resolve(10.0, 0), KernelKind::Sparse);
+        assert_eq!(
+            KernelKind::Auto.resolve(10.0, 0, default),
+            KernelKind::Sparse
+        );
     }
 
     #[test]
@@ -1401,6 +1467,49 @@ mod tests {
         // A swept campaign averages the uniform 1..=n_max plan.
         let swept = config().with_max_failures(13);
         assert_eq!(swept.expected_faults_per_die().unwrap(), 7.0);
+    }
+
+    #[test]
+    fn auto_kernel_resolution_tracks_the_campaign_density() {
+        // 3 expected faults ((1 + 5) / 2) over 128 rows is below the
+        // 8-per-die threshold (128 / 16) → sparse; the same campaign over an
+        // 8-row memory crosses its 0.5-per-die threshold → bitsliced256.
+        let sparse = config().with_max_failures(5).with_kernel(KernelKind::Auto);
+        assert_eq!(sparse.kernel(), KernelKind::Auto);
+        assert_eq!(sparse.resolved_kernel().unwrap(), KernelKind::Sparse);
+        let dense = CampaignConfig::new(MemoryConfig::new(8, 32).unwrap(), 1e-3)
+            .unwrap()
+            .with_max_failures(5)
+            .with_kernel(KernelKind::Auto);
+        assert_eq!(dense.resolved_kernel().unwrap(), KernelKind::Bitsliced256);
+        // Fixed kernels resolve to themselves on either side of the
+        // threshold; the default configuration runs sparse.
+        assert_eq!(config().resolved_kernel().unwrap(), KernelKind::Sparse);
+        for kernel in [KernelKind::Sparse, KernelKind::Bitsliced256] {
+            assert_eq!(
+                sparse.with_kernel(kernel).resolved_kernel().unwrap(),
+                kernel
+            );
+            assert_eq!(dense.with_kernel(kernel).resolved_kernel().unwrap(), kernel);
+        }
+        // An `--auto-threshold` override moves the break-even: 3 faults per
+        // die over 128 rows reaches 1/64 fault per row (2 per die) but not
+        // 1/32 (4 per die).
+        let low = sparse.with_auto_threshold(Some(1.0 / 64.0));
+        assert_eq!(low.auto_threshold(), Some(1.0 / 64.0));
+        assert_eq!(low.resolved_kernel().unwrap(), KernelKind::Bitsliced256);
+        let high = low.with_auto_threshold(Some(1.0 / 32.0));
+        assert_eq!(high.resolved_kernel().unwrap(), KernelKind::Sparse);
+        // An exact-failure campaign resolves from its exact count, not from
+        // the swept midpoint: 8 faults per die over 128 rows is dense,
+        // although the 1..=5 sweep the config also carries is not.
+        let exact = sparse.with_exact_failures(8);
+        assert_eq!(exact.exact_failures(), Some(8));
+        assert_eq!(exact.resolved_kernel().unwrap(), KernelKind::Bitsliced256);
+        assert_eq!(
+            sparse.with_exact_failures(7).resolved_kernel().unwrap(),
+            KernelKind::Sparse
+        );
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! legacy evaluation path, and asymmetric stuck-at campaigns must show a
 //! measurable quality gap between data images.
 
-use faultmit::analysis::{memory_mse, memory_mse_for_data, MonteCarloConfig, MonteCarloEngine};
+use faultmit::analysis::{memory_mse, memory_mse_for_data, MonteCarloEngine};
 use faultmit::core::{MitigationScheme, Scheme};
 use faultmit::memsim::{
     Backend, BackendKind, DieBatch, FaultKindLaw, ImageSpec, MemoryConfig, PlannedSample,
     StreamSeeder,
 };
+use faultmit::sim::CampaignConfig;
 
 const SEED: u64 = 0x1_DA7A;
 
@@ -73,7 +74,7 @@ fn zeros_image_campaigns_are_bit_identical_to_the_legacy_all_zeros_path() {
     // all-zeros word vector must accumulate identical bits.
     let schemes = Scheme::fig5_catalogue();
     let build = |image: Option<ImageSpec>| {
-        let mut config = MonteCarloConfig::new(MemoryConfig::paper_16kb(), 5e-6)
+        let mut config = CampaignConfig::new(MemoryConfig::paper_16kb(), 5e-6)
             .unwrap()
             .with_samples_per_count(6)
             .with_max_failures(8);
@@ -127,7 +128,8 @@ fn asymmetric_campaigns_show_a_measurable_gap_between_images() {
         .unwrap();
     let mean_for = |image: ImageSpec| {
         let engine = MonteCarloEngine::new(
-            MonteCarloConfig::for_backend(backend)
+            CampaignConfig::for_backend(backend)
+                .unwrap()
                 .with_samples_per_count(20)
                 .with_max_failures(8)
                 .with_image(image),
@@ -165,7 +167,8 @@ fn sparse_images_behave_like_near_zero_backgrounds() {
         .unwrap();
     let mean_for = |image: ImageSpec| {
         MonteCarloEngine::new(
-            MonteCarloConfig::for_backend(backend)
+            CampaignConfig::for_backend(backend)
+                .unwrap()
                 .with_samples_per_count(12)
                 .with_max_failures(6)
                 .with_image(image),

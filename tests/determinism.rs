@@ -4,7 +4,7 @@
 //! every layer that feeds the figures (raw records, per-count CDFs, combined
 //! `EmpiricalCdf`s, application quality).
 
-use faultmit::analysis::{MonteCarloConfig, MonteCarloEngine};
+use faultmit::analysis::MonteCarloEngine;
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig, SramVddBackend};
@@ -13,7 +13,7 @@ use faultmit::sim::{per_die, Campaign, CampaignConfig, CollectRecords, Paralleli
 const SEED: u64 = 0xD373_1213;
 
 fn engine(parallelism: Parallelism) -> MonteCarloEngine {
-    let config = MonteCarloConfig::new(MemoryConfig::new(512, 32).unwrap(), 5e-4)
+    let config = CampaignConfig::new(MemoryConfig::new(512, 32).unwrap(), 5e-4)
         .unwrap()
         .with_samples_per_count(20)
         .with_max_failures(12)
@@ -177,7 +177,8 @@ fn backend_engine_cdfs_are_bit_identical_serial_vs_threaded() {
         let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
         let build = |parallelism| {
             MonteCarloEngine::new(
-                MonteCarloConfig::for_backend(backend)
+                CampaignConfig::for_backend(backend)
+                    .unwrap()
                     .with_samples_per_count(10)
                     .with_max_failures(8)
                     .with_parallelism(parallelism),
@@ -225,7 +226,8 @@ fn data_image_campaigns_are_bit_identical_serial_vs_threaded() {
     ] {
         let build = |parallelism| {
             MonteCarloEngine::new(
-                MonteCarloConfig::for_backend(backend)
+                CampaignConfig::for_backend(backend)
+                    .unwrap()
                     .with_samples_per_count(10)
                     .with_max_failures(8)
                     .with_image(image)
@@ -296,7 +298,8 @@ fn metrics_counter_snapshots_are_bit_identical_serial_vs_threaded() {
                 let recorder = std::sync::Arc::new(obs::Recorder::new());
                 let guard = obs::install(&recorder);
                 MonteCarloEngine::new(
-                    MonteCarloConfig::for_backend(backend)
+                    CampaignConfig::for_backend(backend)
+                        .unwrap()
                         .with_samples_per_count(10)
                         .with_max_failures(8)
                         .with_kernel(kernel)

@@ -2,10 +2,11 @@
 //! → shuffled memory → quality analysis, compared against the ECC baselines
 //! on identical dies.
 
-use faultmit::analysis::{memory_mse, MonteCarloConfig, MonteCarloEngine};
+use faultmit::analysis::{memory_mse, MonteCarloEngine};
 use faultmit::core::{MitigationScheme, Scheme, SegmentGeometry, ShuffledMemory};
 use faultmit::ecc::{DecodeOutcome, EccMemory, PeccMemory};
 use faultmit::memsim::{Fault, FaultMap, FaultMapSampler, MarchBist, MemoryConfig, SramArray};
+use faultmit::sim::CampaignConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -107,7 +108,7 @@ fn fig5_ordering_holds_on_a_sampled_die_population() {
     // worse than any shuffling configuration, and finer segments help.
     // 256 × 32 = 8192 cells at P_cell = 5e-4: mean ≈ 4 failures; 16 failure
     // counts cover well beyond the 99.9 % yield target queried below.
-    let config = MonteCarloConfig::new(MemoryConfig::new(256, 32).unwrap(), 5e-4)
+    let config = CampaignConfig::new(MemoryConfig::new(256, 32).unwrap(), 5e-4)
         .unwrap()
         .with_samples_per_count(25)
         .with_max_failures(16);

@@ -14,7 +14,7 @@
 
 use faultmit::analysis::{
     block_mse_into, memory_mse, memory_mse_for_data, memory_mse_sparse, memory_mse_sparse_with,
-    CatalogueAccumulator, MonteCarloConfig, MonteCarloEngine,
+    CatalogueAccumulator, MonteCarloEngine,
 };
 use faultmit::core::Scheme;
 use faultmit::memsim::{
@@ -385,7 +385,8 @@ fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
                     .unwrap();
                 for kernel in KernelKind::ALL {
                     let engine = MonteCarloEngine::new(
-                        MonteCarloConfig::for_backend(backend)
+                        CampaignConfig::for_backend(backend)
+                            .unwrap()
                             .with_samples_per_count(samples_per_count)
                             .with_max_failures(max_failures)
                             .with_parallelism(Parallelism::Serial)
@@ -591,7 +592,10 @@ fn auto_kernel_resolves_to_the_documented_kernel_at_each_benched_point() {
     assert_eq!(expected, 12.5, "mean of the 1..=24 failure-count sweep");
     assert!(expected < threshold);
     assert_eq!(
-        KernelKind::Auto.resolve(expected, memory.rows()),
+        sparse_point
+            .with_kernel(KernelKind::Auto)
+            .resolved_kernel()
+            .unwrap(),
         KernelKind::Sparse
     );
 
@@ -608,12 +612,18 @@ fn auto_kernel_resolves_to_the_documented_kernel_at_each_benched_point() {
     assert_eq!(expected, 8192.0, "exact-failure plans pin the density");
     assert!(expected >= threshold);
     assert_eq!(
-        KernelKind::Auto.resolve(expected, memory.rows()),
+        dense_point
+            .with_kernel(KernelKind::Auto)
+            .resolved_kernel()
+            .unwrap(),
         KernelKind::Bitsliced256
     );
 
     // Fixed kernels ignore the density entirely.
     for kernel in [KernelKind::Sparse, KernelKind::Bitsliced256] {
-        assert_eq!(kernel.resolve(expected, memory.rows()), kernel);
+        assert_eq!(
+            dense_point.with_kernel(kernel).resolved_kernel().unwrap(),
+            kernel
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! weight sums alike — at any worker count. Monolithic execution must
 //! itself be the 0/1 shard, not a separate code path.
 
-use faultmit::analysis::{CatalogueAccumulator, MonteCarloConfig, MonteCarloEngine};
+use faultmit::analysis::{CatalogueAccumulator, MonteCarloEngine};
 use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
 use faultmit::sim::{
@@ -74,7 +74,8 @@ fn engine_shard_states_merge_bit_identically_for_every_backend() {
     for kind in BackendKind::ALL {
         let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
         let engine = MonteCarloEngine::new(
-            MonteCarloConfig::for_backend(backend)
+            CampaignConfig::for_backend(backend)
+                .unwrap()
                 .with_samples_per_count(10)
                 .with_max_failures(8),
         );
@@ -137,7 +138,8 @@ fn data_image_campaigns_shard_bit_identically() {
         ImageSpec::Sparse { seed: 7 },
     ] {
         let engine = MonteCarloEngine::new(
-            MonteCarloConfig::for_backend(backend)
+            CampaignConfig::for_backend(backend)
+                .unwrap()
                 .with_samples_per_count(9)
                 .with_max_failures(7)
                 .with_image(image),
