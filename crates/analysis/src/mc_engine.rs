@@ -14,12 +14,11 @@
 use crate::accumulate::CatalogueAccumulator;
 use crate::cdf::EmpiricalCdf;
 use crate::error::AnalysisError;
-use crate::mse::{block_mse_into, memory_mse_sparse_with};
+use crate::mse::memory_mse_sparse_with;
 use crate::yield_model::YieldModel;
 use faultmit_core::MitigationScheme;
-use faultmit_memsim::{DieBlock, FaultBackend, ImageSpec, SramVddBackend};
-use faultmit_obs as obs;
-use faultmit_sim::{blocks, per_die, Campaign, CampaignConfig, KernelKind, ShardSpec, ShardStats};
+use faultmit_memsim::{FaultBackend, ImageSpec, SramVddBackend};
+use faultmit_sim::{Campaign, CampaignConfig, ShardSpec, ShardStats};
 
 /// The outcome of evaluating one protection scheme in a Monte-Carlo campaign.
 #[derive(Debug, Clone)]
@@ -55,9 +54,9 @@ impl SchemeMseResult {
 /// The Monte-Carlo fault-injection engine — an MSE-specialised facade over
 /// the parallel pipeline, generic over the fault-generating backend.
 ///
-/// The campaign is one [`CampaignConfig`]: the backend, sampling budget,
-/// image and kernel choice all live there, and
-/// [`CampaignConfig::resolved_kernel`] picks the kernel the engine runs.
+/// The campaign is one [`CampaignConfig`]: the backend, sampling budget and
+/// image all live there, and every die is scored by the event-driven
+/// [`memory_mse_sparse_with`] kernel.
 #[derive(Debug, Clone)]
 pub struct MonteCarloEngine<B: FaultBackend = SramVddBackend> {
     campaign: Campaign<B>,
@@ -168,31 +167,27 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
                     ),
                 });
             }
-            return self.run_campaign_kernel(schemes, seed, shard, |row| data[row]);
+            return self.run_campaign(schemes, seed, shard, |row| data[row]);
         }
         match self.config().image() {
             // `memory_mse_sparse` is `memory_mse_sparse_with` against the
             // `|_| 0` word source, so the zeros fast path and an explicit
             // zeros vector share one dispatcher without a bit of drift.
-            ImageSpec::Zeros => self.run_campaign_kernel(schemes, seed, shard, |_| 0),
+            ImageSpec::Zeros => self.run_campaign(schemes, seed, shard, |_| 0),
             spec => {
                 // Self-contained images resolve here; App images propagate
                 // memsim's "resolve through the apps layer" error. The
-                // kernels gather image words per faulty row, so the image
+                // kernel gathers image words per faulty row, so the image
                 // is never materialised memory-wide.
                 let image = spec.try_materialise(self.config().memory())?;
-                self.run_campaign_kernel(schemes, seed, shard, |row| image.word(row))
+                self.run_campaign(schemes, seed, shard, |row| image.word(row))
             }
         }
     }
 
-    /// Dispatches one shard of the paired campaign to the configured
-    /// evaluation kernel (`auto` resolves first, via
-    /// [`CampaignConfig::resolved_kernel`]), with `written` supplying the
-    /// stored word of every row. Both kernels fold the identical per-die
-    /// squared-error sums in the identical order, so the returned
-    /// accumulator is bit-identical across [`KernelKind`] choices.
-    fn run_campaign_kernel<S, W>(
+    /// Runs one shard of the paired campaign, with `written` supplying the
+    /// stored word of every row.
+    fn run_campaign<S, W>(
         &self,
         schemes: &[S],
         seed: u64,
@@ -203,26 +198,13 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
         S: MitigationScheme + Sync,
         W: Fn(usize) -> u64 + Sync,
     {
-        let accumulator = || CatalogueAccumulator::new(schemes.len());
-        let metric = |scheme: &S, map: &_| memory_mse_sparse_with(scheme, map, &written);
-        // One dispatch event per shard run: `auto` resolves before any
-        // sampling, so the counters record the kernel that actually executed.
-        let run = match self.config().resolved_kernel()? {
-            KernelKind::Auto => unreachable!("resolved_kernel always returns a fixed kernel"),
-            KernelKind::Sparse => {
-                obs::count(obs::Counter::DispatchSparse, 1);
-                self.campaign
-                    .execute(schemes, seed, shard, per_die(metric), accumulator)
-            }
-            KernelKind::Bitsliced256 => {
-                obs::count(obs::Counter::DispatchBitsliced256, 1);
-                let block = |scheme: &S, block: &DieBlock<'_>, out: &mut [f64]| {
-                    block_mse_into(scheme, block, &written, out);
-                };
-                self.campaign
-                    .execute(schemes, seed, shard, blocks(metric, block), accumulator)
-            }
-        };
+        let run = self.campaign.execute(
+            schemes,
+            seed,
+            shard,
+            |scheme: &S, map: &_| memory_mse_sparse_with(scheme, map, &written),
+            || CatalogueAccumulator::new(schemes.len()),
+        );
         Ok(run.map_err(faultmit_sim::SimError::from)?)
     }
 
@@ -481,66 +463,6 @@ mod tests {
             .0;
         assert_eq!(a, b);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn every_kernel_accumulates_identical_bits_on_zeros_and_data_images() {
-        use faultmit_memsim::{FaultKindLaw, SramVddBackend};
-        let memory = MemoryConfig::new(128, 32).unwrap();
-        let backend = SramVddBackend::with_p_cell(memory, 1e-3)
-            .unwrap()
-            .with_kind_law(FaultKindLaw::AsymmetricStuckAt {
-                p_stuck_at_zero: 0.6,
-            })
-            .unwrap();
-        let schemes = [
-            Scheme::unprotected32(),
-            Scheme::secded32(),
-            Scheme::shuffle32(2).unwrap(),
-        ];
-        for image in [ImageSpec::Zeros, ImageSpec::UniformRandom { seed: 0xB17 }] {
-            let run = |kernel| {
-                // 350 samples in chunks of 349: one full 256-die block, a
-                // 93-die partial block, then a lone sample on the per-die
-                // tail.
-                let config = CampaignConfig::for_backend(backend)
-                    .unwrap()
-                    .with_samples_per_count(70)
-                    .with_max_failures(5)
-                    .with_chunk_size(349)
-                    .with_image(image)
-                    .with_kernel(kernel);
-                MonteCarloEngine::new(config)
-                    .run_catalogue_shard(&schemes, 91, ShardSpec::solo(), None)
-                    .unwrap()
-                    .0
-            };
-            let sparse = run(KernelKind::Sparse);
-            assert_eq!(
-                sparse,
-                run(KernelKind::Bitsliced256),
-                "{image:?}: bitsliced256"
-            );
-            assert_eq!(sparse, run(KernelKind::Auto), "{image:?}: auto");
-        }
-    }
-
-    #[test]
-    fn bitsliced_kernel_matches_the_per_die_kernel_on_observe_only_schemes() {
-        use crate::mse::tests::Stripped;
-        let schemes = [Scheme::unprotected32(), Scheme::pecc32()].map(|inner| Stripped {
-            inner,
-            sparse: false,
-        });
-        // 300 samples in one chunk: a full 256-die block and a 44-die block.
-        let run = |kernel| {
-            let config = small_config().with_chunk_size(300).with_kernel(kernel);
-            MonteCarloEngine::new(config)
-                .run_catalogue_shard(&schemes, 19, ShardSpec::solo(), None)
-                .unwrap()
-                .0
-        };
-        assert_eq!(run(KernelKind::Sparse), run(KernelKind::Bitsliced256));
     }
 
     #[test]

@@ -29,8 +29,7 @@
 //! **bit-identical** (the `kernel_equivalence` integration suite pins this).
 
 use faultmit_core::MitigationScheme;
-use faultmit_memsim::{die_row_faults, DieBlock, Fault, FaultMap, ResidualLanes, W256};
-use faultmit_obs as obs;
+use faultmit_memsim::FaultMap;
 
 /// Exact `4^b` for every data-bit position, precomputed so the hot
 /// squared-error loop avoids `powi`.
@@ -168,108 +167,6 @@ where
         total += word_squared_error(stored, observed.value);
     }
     total / rows
-}
-
-/// Bit-sliced twin of [`memory_mse_sparse_with`]: evaluates all dies of a
-/// transposed [`DieBlock`] in one walk over its faulty rows, writing die
-/// `j`'s MSE to `out[j]`.
-///
-/// Per row the scheme's lane-parallel block observer
-/// ([`MitigationScheme::observe_block`]) produces per-data-bit
-/// residual-error lanes; the reduction then scatters each residual lane's
-/// `4^col` weight into per-die row partials in ascending column order,
-/// touching every residual bit exactly once. Bit-identity with the sparse
-/// kernel holds by construction: the visit set is fault
-/// **presence** per die (exactly the rows `rows_with_faults` hands the
-/// sparse kernel), rows are walked in the same ascending order, each die's
-/// sum starts from the same `-0.0` IEEE additive identity, and the
-/// column-order scatter folds the identical diff bits in the identical
-/// LSB-first order `word_squared_error(0, diff)` would. Schemes without a
-/// block path fall back per die to their sparse path, and schemes without
-/// a sparse path to `observe` on a map holding only the die's faults in
-/// that row (the one path that allocates).
-///
-/// # Panics
-///
-/// Panics if `out` is shorter than the block's die count.
-pub fn block_mse_into<S, W>(scheme: &S, block: &DieBlock<'_>, written: W, out: &mut [f64])
-where
-    S: MitigationScheme + ?Sized,
-    W: Fn(usize) -> u64,
-{
-    let dies = block.die_count();
-    assert!(
-        out.len() >= dies,
-        "output slice holds {} dies but the block has {dies}",
-        out.len()
-    );
-    let rows = block.config().rows() as f64;
-    // One running sum per die, each starting from the -0.0 additive
-    // identity the scalar kernels fold from. Stack storage sized by the
-    // lane width: the block path allocates nothing in steady state.
-    let mut totals = [-0.0f64; W256::LANES];
-    // Per-row squared-error partials, scattered column-by-column so every
-    // residual bit is touched exactly once (a per-die `gather_die` walk
-    // would re-scan the full column mask once per dirty die). Entries are
-    // cleared sparsely through the seen-die mask after each row.
-    let mut row_err = [0.0f64; W256::LANES];
-    let mut residual = ResidualLanes::new();
-    // Block-observer vs whole-row-fallback tallies, flushed once per block.
-    let mut block_rows = 0u64;
-    let mut fallback_rows = 0u64;
-    let mut fallback_dies = 0u64;
-    for row in block.rows() {
-        let stored = written(row.row);
-        residual.clear();
-        if scheme.observe_block(row.cells, stored, &mut residual) {
-            block_rows += 1;
-        } else {
-            // Per-die fallback: rebuild each dirty die's sorted fault slice
-            // on the stack and evaluate it like the sparse kernel does.
-            fallback_rows += 1;
-            let mut scratch = [Fault::bit_flip(0, 0); 64];
-            row.dirty.for_each_die(|die| {
-                fallback_dies += 1;
-                let faults = die_row_faults(row.cells, row.row, die, &mut scratch);
-                let observed = scheme.observe_sparse(faults, stored).unwrap_or_else(|| {
-                    let map = FaultMap::from_faults(block.config(), faults.iter().copied())
-                        .expect("block faults lie inside the block geometry");
-                    scheme.observe(&map, row.row, stored)
-                });
-                let mut diff = stored ^ observed.value;
-                while diff != 0 {
-                    let col = diff.trailing_zeros() as usize;
-                    diff &= diff - 1;
-                    residual.accumulate(col, W256::lane_bit(die));
-                }
-            });
-        }
-        // Scatter the residual into per-die partials in ascending column
-        // order — the same LSB-first `4^b` fold `word_squared_error` applies
-        // to a gathered diff, so each partial is bit-identical to it.
-        let mut seen = W256::ZERO;
-        let mut mask = residual.colmask();
-        while mask != 0 {
-            let col = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let lane = residual.lane(col);
-            seen |= lane;
-            lane.for_each_die(|die| row_err[die] += POW4[col]);
-        }
-        // Visit exactly the dies whose map holds a fault in this row — the
-        // sparse kernel's visit set — even when their residual is zero
-        // (silent stuck-at faults still contribute a +0.0 term).
-        row.dirty.for_each_die(|die| totals[die] += row_err[die]);
-        seen.for_each_die(|die| row_err[die] = 0.0);
-    }
-    obs::count(obs::Counter::ObserveBlockRows, block_rows);
-    if fallback_rows != 0 {
-        obs::count(obs::Counter::ObserveFallbackRows, fallback_rows);
-        obs::count(obs::Counter::ObserveFallbackDies, fallback_dies);
-    }
-    for (slot, total) in out[..dies].iter_mut().zip(totals.iter()) {
-        *slot = *total / rows;
-    }
 }
 
 #[cfg(test)]
@@ -440,150 +337,6 @@ pub(crate) mod tests {
                     "{} (data)",
                     scheme.name()
                 );
-            }
-        }
-    }
-
-    /// Every die of a block must reproduce the sparse kernel's MSE bit for
-    /// bit, across backends, kind laws and catalogue schemes.
-    #[test]
-    fn block_kernel_is_bit_identical_to_the_sparse_kernel() {
-        use faultmit_memsim::{
-            Backend, BackendKind, BlockScratch, DieScratch, FaultKindLaw, PlannedSample,
-            StreamSeeder,
-        };
-        let config = MemoryConfig::new(128, 32).unwrap();
-        let seeder = StreamSeeder::new(0x4B17_51CE);
-        let image: Vec<u64> = (0..128u64)
-            .map(|r| r.wrapping_mul(0x9E37) & 0xFFFF_FFFF)
-            .collect();
-        let mut schemes = Scheme::fig5_catalogue();
-        schemes.push(Scheme::secded32());
-        for kind in BackendKind::ALL {
-            for law in [
-                FaultKindLaw::AlwaysFlip,
-                FaultKindLaw::AsymmetricStuckAt {
-                    p_stuck_at_zero: 0.5,
-                },
-            ] {
-                let backend = Backend::at_p_cell(kind, config, 1e-3)
-                    .unwrap()
-                    .with_kind_law(law)
-                    .unwrap();
-                // Not a multiple of 64, so dies in every W256 word (and a
-                // ragged last word) are exercised.
-                let plan: Vec<PlannedSample> = (0..201)
-                    .map(|index| PlannedSample {
-                        index,
-                        n_faults: 1 + (index * 5) % 30,
-                    })
-                    .collect();
-                let mut scratch = BlockScratch::new(config);
-                let block = scratch
-                    .generate_block(&backend, &seeder, &plan, None)
-                    .unwrap();
-                let mut out = vec![0.0f64; plan.len()];
-                for scheme in &schemes {
-                    block_mse_into(scheme, &block, |row| image[row], &mut out);
-                    for (j, planned) in plan.iter().enumerate() {
-                        let mut reference = DieScratch::new(config);
-                        let mut rng = seeder.rng_for_sample(planned.index);
-                        let map = reference
-                            .generate(&backend, &mut rng, planned.n_faults as usize)
-                            .unwrap();
-                        assert_eq!(
-                            out[j].to_bits(),
-                            memory_mse_sparse_with(scheme, map, |row| image[row]).to_bits(),
-                            "{kind} {law:?} {} die {j}",
-                            scheme.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// A catalogue scheme stripped of its block path and, unless `sparse`
-    /// is set, of its sparse path too — a custom scheme implementing only
-    /// the required trait methods.
-    pub(crate) struct Stripped {
-        pub(crate) inner: Scheme,
-        pub(crate) sparse: bool,
-    }
-
-    impl MitigationScheme for Stripped {
-        fn name(&self) -> String {
-            format!("stripped {}", self.inner.name())
-        }
-        fn word_bits(&self) -> usize {
-            self.inner.word_bits()
-        }
-        fn observe(
-            &self,
-            faults: &FaultMap,
-            row: usize,
-            written: u64,
-        ) -> faultmit_core::ObservedWord {
-            self.inner.observe(faults, row, written)
-        }
-        fn observe_sparse(
-            &self,
-            row_faults: &[Fault],
-            written: u64,
-        ) -> Option<faultmit_core::ObservedWord> {
-            self.sparse
-                .then(|| self.inner.observe_sparse(row_faults, written))
-                .flatten()
-        }
-        fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
-            self.inner.worst_case_error_magnitude(bit)
-        }
-        fn extra_bits_per_row(&self) -> usize {
-            self.inner.extra_bits_per_row()
-        }
-    }
-
-    #[test]
-    fn block_kernel_falls_back_for_schemes_without_a_block_path() {
-        use faultmit_memsim::{
-            Backend, BackendKind, BlockScratch, DieScratch, PlannedSample, StreamSeeder,
-        };
-        // Schemes with only a sparse path, or only the required `observe`,
-        // go through the per-die fallback inside the block reduction and
-        // still match the per-die kernel bit for bit.
-        let config = MemoryConfig::new(64, 32).unwrap();
-        let seeder = StreamSeeder::new(11);
-        let backend = Backend::at_p_cell(BackendKind::Sram, config, 1e-3).unwrap();
-        // Dies in every W256 word take the fallback.
-        let plan: Vec<PlannedSample> = (0..150u64)
-            .map(|index| PlannedSample { index, n_faults: 8 })
-            .collect();
-        let maps: Vec<FaultMap> = plan
-            .iter()
-            .map(|planned| {
-                let mut rng = seeder.rng_for_sample(planned.index);
-                DieScratch::new(config)
-                    .generate(&backend, &mut rng, planned.n_faults as usize)
-                    .unwrap()
-                    .clone()
-            })
-            .collect();
-        let mut scratch = BlockScratch::new(config);
-        let block = scratch
-            .generate_block(&backend, &seeder, &plan, None)
-            .unwrap();
-        let mut out = vec![0.0f64; plan.len()];
-        for inner in [Scheme::unprotected32(), Scheme::pecc32()] {
-            for sparse in [true, false] {
-                block_mse_into(&Stripped { inner, sparse }, &block, |_| 0, &mut out);
-                for (j, map) in maps.iter().enumerate() {
-                    assert_eq!(
-                        out[j].to_bits(),
-                        memory_mse_sparse_with(&inner, map, |_| 0).to_bits(),
-                        "{} sparse={sparse} die {j}",
-                        inner.name()
-                    );
-                }
             }
         }
     }

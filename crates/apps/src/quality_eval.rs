@@ -27,7 +27,7 @@ use crate::preprocessing::{train_test_split, Standardizer};
 use faultmit_analysis::{CatalogueAccumulator, EmpiricalCdf, YieldModel};
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{FaultBackend, FaultMap, FaultMapSampler, MemoryConfig};
-use faultmit_sim::{per_die, Campaign, CampaignConfig, MapPolicy, Parallelism, ShardSpec};
+use faultmit_sim::{Campaign, CampaignConfig, MapPolicy, Parallelism, ShardSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -370,7 +370,7 @@ impl QualityEvaluator {
             Ok::<f64, AppError>(normalized_quality(quality, baseline))
         };
         let (state, _) = Campaign::new(config)
-            .execute(schemes, seed, shard, per_die(evaluate), || {
+            .execute(schemes, seed, shard, evaluate, || {
                 CatalogueAccumulator::new(schemes.len())
             })
             .map_err(AppError::from)?;

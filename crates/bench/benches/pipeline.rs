@@ -10,8 +10,8 @@
 //! `determinism` integration test, while this bench tracks the speed.
 
 //! Besides the Criterion groups, `bench_throughput_json` measures the
-//! worker-count sweep 1/2/4/8 plus the kernel comparison (`sparse` →
-//! `bitsliced256`, plus the density-resolved `auto` row) and writes
+//! worker-count sweep 1/2/4/8 plus single-threaded `sparse`-kernel rows at
+//! three operating points and writes
 //! `BENCH_pipeline.json` (path overridable via the `BENCH_PIPELINE_JSON`
 //! environment variable) through the in-tree JSON emitter, so throughput can
 //! be re-measured and tracked on any host. Worker counts above the host's
@@ -21,16 +21,12 @@
 //! the `host_cpus` stamp inside each JSON section to interpret the rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use faultmit_analysis::{block_mse_into, memory_mse_sparse_with, MonteCarloEngine};
+use faultmit_analysis::{memory_mse_sparse_with, MonteCarloEngine};
 use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_core::Scheme;
-use faultmit_memsim::{DieBlock, FaultKindLaw, FaultMap, ImageSpec, MemoryConfig, SramVddBackend};
+use faultmit_memsim::{FaultKindLaw, FaultMap, ImageSpec, MemoryConfig, SramVddBackend};
 use faultmit_obs as obs;
-use faultmit_sim::{
-    blocks, per_die, Accumulator, Campaign, CampaignConfig, Evaluator, KernelKind, PairedSample,
-    Parallelism, ShardSpec,
-};
-use std::convert::Infallible;
+use faultmit_sim::{Accumulator, Campaign, CampaignConfig, PairedSample, Parallelism, ShardSpec};
 use std::time::Instant;
 
 /// Reduced Fig. 5 operating point: same geometry and failure counts that
@@ -121,52 +117,32 @@ impl ToJson for WorkerScalingRow {
     }
 }
 
-/// One row of the kernel comparison (`speedup_vs_sparse` is relative to
-/// the `sparse` kernel, the engine default).
+/// One single-threaded `sparse`-kernel row at one operating point.
 struct KernelRow {
     config: &'static str,
-    kernel: &'static str,
     mean_seconds_per_campaign: f64,
     samples_per_second: f64,
     words_per_second: f64,
-    speedup_vs_sparse: f64,
-    /// Fraction of wide-generation lane steps with the lane still live
-    /// (from the per-row metrics delta; absent for kernels that never
-    /// enter the wide path).
-    widegen_lane_utilisation: Option<f64>,
-    /// Fraction of observed rows that fell back off the bit-sliced block
-    /// path (absent for the scalar/sparse kernels, which have no block
-    /// kernel, which has no block path to fall back from).
-    observe_fallback_rate: Option<f64>,
 }
 
 impl ToJson for KernelRow {
     fn to_json(&self) -> JsonValue {
         JsonValue::object([
             ("config", self.config.to_json()),
-            ("kernel", self.kernel.to_json()),
+            ("kernel", "sparse".to_json()),
             (
                 "mean_seconds_per_campaign",
                 self.mean_seconds_per_campaign.to_json(),
             ),
             ("samples_per_second", self.samples_per_second.to_json()),
             ("words_per_second", self.words_per_second.to_json()),
-            ("speedup_vs_sparse", self.speedup_vs_sparse.to_json()),
-            (
-                "widegen_lane_utilisation",
-                self.widegen_lane_utilisation.to_json(),
-            ),
-            (
-                "observe_fallback_rate",
-                self.observe_fallback_rate.to_json(),
-            ),
         ])
     }
 }
 
-/// Minimal accumulator for kernel timing: folds every metric into one sum
-/// (no per-sample allocation, and the sum doubles as an equality witness
-/// that both kernels computed the same MSEs).
+/// Minimal accumulator for kernel timing: counts samples and folds every
+/// metric into one sum, so the timed campaign does no per-sample
+/// allocation and its result cannot be optimised away.
 #[derive(Default)]
 struct SumMetrics {
     total: f64,
@@ -187,63 +163,12 @@ impl Accumulator for SumMetrics {
     }
 }
 
-/// Seed of the kernel-comparison campaigns (arbitrary fixed constant).
+/// Seed of the kernel campaigns (arbitrary fixed constant).
 const KERNEL_SEED: u64 = 0x5E1F_F165;
 
-/// Times `reps` runs of a single-threaded campaign and returns
-/// `(mean seconds per campaign, metric-sum witness, samples per campaign)`.
-///
-/// The metric sum is accumulated identically for every kernel, so matching
-/// witnesses prove the timed kernels computed the same MSEs.
-fn time_campaign<V>(
-    config: CampaignConfig<SramVddBackend>,
-    schemes: &[Scheme],
-    evaluator: V,
-    reps: u32,
-) -> (f64, f64, u64)
-where
-    V: Evaluator<Scheme, Error = Infallible>,
-{
-    let campaign = Campaign::new(config);
-    let run = || {
-        campaign
-            .execute(
-                schemes,
-                KERNEL_SEED,
-                ShardSpec::solo(),
-                &evaluator,
-                SumMetrics::default,
-            )
-            .unwrap()
-            .0
-    };
-    // One warm-up campaign, then the mean of the timed repetitions.
-    run();
-    let started = Instant::now();
-    let mut witness = 0.0;
-    let mut samples = 0;
-    for _ in 0..reps {
-        let acc = run();
-        witness = acc.total;
-        samples = acc.samples;
-    }
-    (
-        started.elapsed().as_secs_f64() / f64::from(reps),
-        witness,
-        samples,
-    )
-}
-
-/// Times each kernel at one operating point and appends the rows, with
-/// each witness sum cross-checked bit for bit against the `sparse` kernel.
-///
-/// `config` is the point's campaign configuration and `written(row)`
-/// supplies its stored words, so each kernel times the identical campaign.
-/// The `auto` row runs the kernel the density policy of
-/// [`KernelKind::resolve`] picks for this configuration — resolution
-/// happens once per campaign, before any sampling — and its `kernel` stamp
-/// records the resolved choice (`auto:sparse` / `auto:bitsliced256`), the
-/// same telemetry the sharded CLI writes into checkpoints.
+/// Times `reps` runs of one single-threaded `sparse`-kernel campaign at an
+/// operating point and appends its row. `written(row)` supplies the
+/// point's stored words.
 fn push_point<W>(
     rows: &mut Vec<KernelRow>,
     label: &'static str,
@@ -255,90 +180,45 @@ fn push_point<W>(
 ) where
     W: Fn(usize) -> u64 + Sync,
 {
-    let words_per_sample = memory.rows() as f64;
-    let metric = |scheme: &Scheme, map: &FaultMap| memory_mse_sparse_with(scheme, map, &written);
-    let time_sparse = || time_campaign(config, schemes, per_die(metric), reps);
-    let time_wide = || {
-        let block = |scheme: &Scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-            block_mse_into(scheme, block, &written, out);
-        };
-        time_campaign(config, schemes, blocks(metric, block), reps)
+    let campaign = Campaign::new(config);
+    let run = || {
+        let (sums, _) = campaign
+            .execute(
+                schemes,
+                KERNEL_SEED,
+                ShardSpec::solo(),
+                |scheme: &Scheme, map: &FaultMap| memory_mse_sparse_with(scheme, map, &written),
+                SumMetrics::default,
+            )
+            .unwrap();
+        std::hint::black_box(sums.total);
+        sums.samples
     };
-
-    // Per-row metrics delta: when the bench runner installed a recorder,
-    // each kernel's timed window is bracketed by snapshots so the lane
-    // utilisation and fallback rates belong to that kernel alone.
-    let timed = |run: &dyn Fn() -> (f64, f64, u64)| {
-        let recorder = obs::current();
-        let before = recorder.as_ref().map(|r| r.snapshot()).unwrap_or_default();
-        let triple = run();
-        let delta = recorder
-            .map(|r| r.snapshot().since(&before))
-            .unwrap_or_default();
-        (triple, delta)
-    };
-
-    let (sparse, sparse_metrics) = timed(&time_sparse);
-    let (bitsliced256, bitsliced256_metrics) = timed(&time_wide);
-    let resolved = config
-        .with_kernel(KernelKind::Auto)
-        .resolved_kernel()
-        .unwrap();
-    // The auto row re-times the resolved kernel end to end, so any gap
-    // between `auto` and its fixed twin is pure measurement noise.
-    let (auto_name, (auto, auto_metrics)) = match resolved {
-        KernelKind::Bitsliced256 => ("auto:bitsliced256", timed(&time_wide)),
-        _ => ("auto:sparse", timed(&time_sparse)),
-    };
-
-    for (kernel, (seconds, witness, samples), metrics) in [
-        ("sparse", sparse, sparse_metrics),
-        ("bitsliced256", bitsliced256, bitsliced256_metrics),
-        (auto_name, auto, auto_metrics),
-    ] {
-        assert_eq!(
-            sparse.1.to_bits(),
-            witness.to_bits(),
-            "{label}: sparse and {kernel} kernels disagree on the MSE sum"
-        );
-        rows.push(KernelRow {
-            config: label,
-            kernel,
-            mean_seconds_per_campaign: seconds,
-            samples_per_second: samples as f64 / seconds,
-            words_per_second: samples as f64 * words_per_sample / seconds,
-            speedup_vs_sparse: sparse.0 / seconds,
-            widegen_lane_utilisation: metrics.wide_lane_utilisation(),
-            observe_fallback_rate: metrics.observe_fallback_rate(),
-        });
+    // One warm-up campaign, then the mean of the timed repetitions.
+    let samples = run();
+    let started = Instant::now();
+    for _ in 0..reps {
+        run();
     }
+    let seconds = started.elapsed().as_secs_f64() / f64::from(reps);
+    rows.push(KernelRow {
+        config: label,
+        mean_seconds_per_campaign: seconds,
+        samples_per_second: samples as f64 / seconds,
+        words_per_second: samples as f64 * memory.rows() as f64 / seconds,
+    });
 }
 
-/// Measures the evaluation kernels at three single-threaded operating
-/// points:
-///
-/// * `sparse` — the event-driven kernel: reusable `DieScratch` arena,
-///   `observe_sparse` row slices, per-faulty-row image gather;
-/// * `bitsliced256` — the lane-parallel kernel: 256 dies transposed into
-///   `W256` lanes (four `u64` words per lane, element-wise ops the
-///   compiler autovectorises) per `DieBlock`, `observe_block` scheme
-///   transforms and the `block_mse_into` reduction, with a per-die
-///   (`sparse`) tail;
-/// * `auto` — the density-adaptive kernel, stamped with what it resolved
-///   to at this operating point.
-///
-/// Operating points:
+/// Times the `sparse` kernel at three single-threaded operating points:
 ///
 /// * `fig5`: the paper's 16 KB array at `P_cell = 1e-4` (Fig. 9's matched
 ///   density on the Fig. 5 axis), all-zeros background, Fig. 5 catalogue;
 /// * `fig9`: same array and density with the uniform-random data image and
 ///   the decay-style stuck-at law — the data-dependent path;
 /// * `dense_ecc`: the deep-voltage-scaling end of the Fig. 5 axis — 8192
-///   faults per die (`P_cell = 1/16`), benched on the ECC design space
+///   faults per die (`P_cell = 1/16`) on the ECC design space
 ///   (unprotected, the P-ECC protected-width sweep `4, 8, …, 28`, full
-///   SECDED) whose block paths are fully lane-parallel. Here ~16 of a wide
-///   block's 256 dies share every faulty *cell*, so one lane operation
-///   does the work the sparse kernel repeats per die.
+///   SECDED).
 fn kernel_rows() -> Vec<KernelRow> {
     const REPS: u32 = 5;
     let memory = MemoryConfig::paper_16kb();
@@ -354,12 +234,6 @@ fn kernel_rows() -> Vec<KernelRow> {
             .with_samples_per_count(10)
             .with_max_failures(24)
             .with_parallelism(Parallelism::Serial)
-            // Blocks are grouped within chunks, so the default 32-sample
-            // chunk would cap the block kernel at a quarter of lane
-            // occupancy (results are chunk-size-independent — pinned by
-            // `chunk_size_does_not_change_results`). The sparse kernel is
-            // insensitive to this knob.
-            .with_chunk_size(64)
     };
     let stuck = FaultKindLaw::AsymmetricStuckAt {
         p_stuck_at_zero: 0.9,
@@ -390,14 +264,7 @@ fn kernel_rows() -> Vec<KernelRow> {
     );
 
     // Deep-scaling density: exactly 8192 faults in every die (one cell in
-    // sixteen), 256 samples in one chunk so the wide kernel packs one full
-    // 256-die block. Every faulty cell is shared by ~16 of the block's 256
-    // dies, which is the regime the transposed lanes were built for. The shuffle schemes'
-    // FM-LUT vote falls back to the scalar path for multi-fault dies
-    // (dominant at this density), so this point measures the ECC design
-    // space instead: the P-ECC protected-width sweep between the
-    // unprotected and full-SECDED endpoints, whose block paths stay
-    // lane-parallel at any density.
+    // sixteen), 256 dies per campaign.
     let ecc_schemes: Vec<Scheme> = std::iter::once(Scheme::unprotected32())
         .chain((1..=7).map(|i| Scheme::PriorityEcc {
             word_bits: 32,
@@ -411,8 +278,7 @@ fn kernel_rows() -> Vec<KernelRow> {
             .unwrap()
             .with_samples_per_count(256)
             .with_exact_failures(8192)
-            .with_parallelism(Parallelism::Serial)
-            .with_chunk_size(256);
+            .with_parallelism(Parallelism::Serial);
     push_point(
         &mut rows,
         "dense_ecc_p6.3e-2",
@@ -426,7 +292,7 @@ fn kernel_rows() -> Vec<KernelRow> {
 }
 
 /// Times the reduced Fig. 5 campaign at 1/2/4/8 workers plus the kernel
-/// comparison and writes both series as
+/// rows and writes both series as
 /// `BENCH_pipeline.json` — the ROADMAP's throughput baseline, reproducible
 /// on any host.
 ///
@@ -455,8 +321,7 @@ fn bench_throughput_json(_c: &mut Criterion) {
         started.elapsed().as_secs_f64() / f64::from(REPS)
     };
 
-    // One recorder spans the whole bench: the kernel rows bracket their own
-    // windows with snapshot deltas, and the final aggregate snapshot is
+    // One recorder spans the whole bench; its aggregate snapshot is
     // written next to the throughput series.
     let recorder = std::sync::Arc::new(obs::Recorder::new());
     let _metrics_guard = obs::install(&recorder);
@@ -498,24 +363,12 @@ fn bench_throughput_json(_c: &mut Criterion) {
     println!("\n== group: pipeline_kernels (BENCH_pipeline.json) ==");
     let kernels = kernel_rows();
     for row in &kernels {
-        // The counter-derived rates print next to the throughput numbers:
-        // lane utilisation says how full the wide-generation lanes ran,
-        // the fallback rate how often observation left the block path.
-        let mut rates = String::new();
-        if let Some(utilisation) = row.widegen_lane_utilisation {
-            rates.push_str(&format!(", lanes {:.0}%", 100.0 * utilisation));
-        }
-        if let Some(fallback) = row.observe_fallback_rate {
-            rates.push_str(&format!(", fallback {:.1}%", 100.0 * fallback));
-        }
         println!(
-            "{:<18} {:<17} {:>10.2} ms/campaign   ({:>8.1} samples/s, {:.3e} words/s, {:.2}x vs sparse{rates})",
+            "{:<18} sparse {:>10.2} ms/campaign   ({:>8.1} samples/s, {:.3e} words/s)",
             row.config,
-            row.kernel,
             row.mean_seconds_per_campaign * 1e3,
             row.samples_per_second,
             row.words_per_second,
-            row.speedup_vs_sparse,
         );
     }
 

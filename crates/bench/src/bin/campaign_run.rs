@@ -22,9 +22,7 @@
 //! campaign_run --figure list        # print the figure catalogue
 //! ```
 
-use faultmit_bench::figures::{
-    check_identity_flags, check_tuning_flags, find_figure, registry, FigureDef,
-};
+use faultmit_bench::figures::{find_figure, registry, FigureDef};
 use faultmit_bench::shard::{load_shard_files, ShardState};
 use faultmit_bench::RunOptions;
 use faultmit_sim::ShardSpec;
@@ -110,14 +108,6 @@ fn passthrough_args(
         args.push("--kind-law".to_owned());
         args.push(law.to_string());
     }
-    if let Some(kernel) = options.kernel {
-        args.push("--kernel".to_owned());
-        args.push(kernel.to_string());
-    }
-    if let Some(threshold) = options.auto_threshold {
-        args.push("--auto-threshold".to_owned());
-        args.push(threshold.to_string());
-    }
     let threads = options.threads.unwrap_or_else(|| {
         let cpus = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -147,7 +137,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     \n       [--dir <checkpoint-dir>] [--out <figure-json-path>]\
                     \n       [--backend sram|dram|mlc] [--samples N] [--threads N] [--full]\
                     \n       [--image <spec>] [--kind-law flip|stuck-at|stuck-at:P]\
-                    \n       [--kernel sparse|bitsliced256|auto] [--auto-threshold <faults-per-row>]\
                     \n       [--metrics <metrics-json-path>]\
                     \nrun 'campaign_run --figure list' for the figure catalogue"
                 .into(),
@@ -161,25 +150,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
     let figure = find_figure(&name)?;
-    if let Some(error) = &options.shard_error {
-        return Err(error.clone().into());
-    }
     // A typo in --shards/--jobs/--retries must not silently degrade the
-    // campaign split (the same policy an unparseable --shard has), and a
-    // typo in --image/--kind-law must not silently select a different
-    // campaign sweep.
-    if !options.driver_flag_errors.is_empty() {
-        return Err(options.driver_flag_errors.join("; ").into());
-    }
-    if !options.spec_flag_errors.is_empty() {
-        return Err(options.spec_flag_errors.join("; ").into());
-    }
-    // Same policy for the tuning flags: a typo'd --auto-threshold must not
-    // silently run (and checkpoint) a different tuning.
-    if !options.tuning_flag_errors.is_empty() {
-        return Err(options.tuning_flag_errors.join("; ").into());
-    }
-    check_tuning_flags(&options)?;
+    // campaign split, and a typo in a campaign-shaping flag must not
+    // silently select a different campaign.
+    let spec = figure.spec(&options);
+    options.check(Some(&spec))?;
 
     let shard_count = options.shards.unwrap_or(1).max(1);
     let jobs = options
@@ -197,8 +172,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| PathBuf::from("campaign-shards"));
     std::fs::create_dir_all(&dir)?;
 
-    let spec = figure.spec(&options);
-    check_identity_flags(&spec, &options)?;
     let shard_bin = shard_binary()?;
     let child_args = passthrough_args(&options, figure, jobs);
     println!(
@@ -348,7 +321,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Per-shard wall-clock and throughput summary (timing recorded in each
     // checkpoint by `campaign_shard`): the spread tells the operator how to
     // size K for the slowest host, and the samples/s · words/s rates make
-    // runs comparable across hosts and kernel generations. Checkpoints from
+    // runs comparable across hosts and builds. Checkpoints from
     // before the telemetry existed simply report no timing.
     let words_per_sample = figure.words_per_sample(&spec);
     println!("per-shard wall clock:");
@@ -365,13 +338,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|mid| 2.0 * mid);
     for state in &states {
         let shard = state.shard.to_string();
-        // Which evaluation kernel produced the checkpoint (recorded by
-        // `campaign_shard`); throughput numbers only compare across runs of
-        // the same kernel generation.
-        let kernel = state
-            .kernel()
-            .map(|kernel| format!(", {kernel} kernel"))
-            .unwrap_or_default();
         // Generation share from the checkpoint telemetry (absent in files
         // from before it existed). Generation seconds are CPU time summed
         // across the shard's workers, so the share of the wall clock can
@@ -401,19 +367,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 match words_per_sample {
                     Some(words) => println!(
                         "  shard {shard}: {seconds:.2}s ({samples_per_second:.1} samples/s, \
-                         {:.3e} words/s{generation}{kernel}){straggler}",
+                         {:.3e} words/s{generation}){straggler}",
                         samples_per_second * words as f64
                     ),
                     None => println!(
                         "  shard {shard}: {seconds:.2}s \
-                         ({samples_per_second:.1} samples/s{generation}{kernel}){straggler}"
+                         ({samples_per_second:.1} samples/s{generation}){straggler}"
                     ),
                 }
             }
             Some(seconds) => {
-                println!("  shard {shard}: {seconds:.2}s{generation}{kernel}{straggler}");
+                println!("  shard {shard}: {seconds:.2}s{generation}{straggler}");
             }
-            None => println!("  shard {shard}: no timing recorded{generation}{kernel}"),
+            None => println!("  shard {shard}: no timing recorded{generation}"),
         }
     }
     if !recorded.is_empty() {
@@ -451,7 +417,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Err("merged shard set belongs to a different campaign configuration".into());
     }
     // The merge aggregated every shard's metrics (clocks and counter
-    // snapshots sum; the kernel identity was validated consistent), so the
+    // snapshots sum), so the
     // cross-shard report comes straight off the merged state.
     options.write_metrics(&merged.metrics)?;
     let panels = merged.into_panels(&figure.panel_labels(&spec))?;

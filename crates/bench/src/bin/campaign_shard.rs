@@ -22,7 +22,7 @@
 //! campaign_shard fig7 elasticnet --shard 1/3 --samples 4 --out shards/fig7-el-1of3.json
 //! ```
 
-use faultmit_bench::figures::{check_identity_flags, check_tuning_flags, find_figure};
+use faultmit_bench::figures::find_figure;
 use faultmit_bench::metrics::ShardMetrics;
 use faultmit_bench::shard::{ShardPanelState, ShardState};
 use faultmit_bench::RunOptions;
@@ -43,33 +43,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
     let figure = find_figure(&name)?;
     // An unparseable --shard must not silently fall back to the monolithic
-    // 0/1 shard: that would recompute the whole campaign and write
-    // solo-coverage state under a shard file's name.
-    if let Some(error) = &options.shard_error {
-        return Err(error.clone().into());
-    }
-    // Same policy for the campaign-identity flags: a typo in --image or
-    // --kind-law must not silently evaluate a different campaign and write
-    // its state under this shard file's name.
-    if !options.spec_flag_errors.is_empty() {
-        return Err(options.spec_flag_errors.join("; ").into());
-    }
-    // And for the tuning flags: a typo'd --auto-threshold must not silently
-    // record default-threshold telemetry under this shard file's name.
-    if !options.tuning_flag_errors.is_empty() {
-        return Err(options.tuning_flag_errors.join("; ").into());
-    }
-    check_tuning_flags(&options)?;
+    // 0/1 shard (that would write solo-coverage state under a shard file's
+    // name), and a campaign-shaping typo must not evaluate a different
+    // campaign under it.
+    let spec = figure.spec(&options);
+    options.check(Some(&spec))?;
     let shard = options.shard_or_solo();
     let out_path = options
         .json_path
         .clone()
         .ok_or("campaign_shard requires --out <path> for the shard-state file")?;
-
-    let spec = figure.spec(&options);
-    // An --image/--kind-law the figure would normalise away must be fatal
-    // for the same reason: it would evaluate a different campaign.
-    check_identity_flags(&spec, &options)?;
 
     // Resumability: a completed shard file for exactly this campaign slice
     // is a checkpoint — skip the work.
@@ -109,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let recorder = std::sync::Arc::new(obs::Recorder::new());
     let guard = obs::install(&recorder);
     let started = std::time::Instant::now();
-    let run = figure.run_shard_tuned(&spec, options.tuning(), options.parallelism(), shard)?;
+    let run = figure.run_shard(&spec, options.parallelism(), shard)?;
     let elapsed_seconds = started.elapsed().as_secs_f64();
     drop(guard);
     let panels = run.panels;
@@ -123,7 +106,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    let kernel = figure.resolved_kernel_tuned(&spec, options.tuning());
     let state = ShardState {
         spec,
         shard,
@@ -133,22 +115,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|(label, state)| ShardPanelState { label, state })
             .collect(),
         // Wall-clock telemetry for the campaign driver's timing summary
-        // (and for sizing future splits to the slowest host), plus which
-        // evaluation kernel produced the state so throughput numbers stay
-        // comparable across checkpoints — `--kernel auto` records the
-        // density-resolved choice (`auto:<kernel>`), next to the
-        // --auto-threshold override that resolution used (the merge
-        // validates it across the set). Figures without a kernel axis
-        // (deterministic tables, app-quality campaigns) record none, and
-        // only engines that time generation record generation seconds.
-        // The snapshot carries the typed counters/histograms/stage clocks
-        // this shard's pipeline recorded.
+        // (and for sizing future splits to the slowest host); only engines
+        // that time generation record generation seconds. The snapshot
+        // carries the typed counters/histograms/stage clocks this shard's
+        // pipeline recorded.
         metrics: ShardMetrics {
             elapsed_seconds: Some(elapsed_seconds),
-            kernel,
             generation_seconds: run.generation_seconds,
-            auto_threshold: options.auto_threshold,
             snapshot: Some(recorder.snapshot()),
+            ..ShardMetrics::default()
         },
     };
     if let Some(parent) = out_path.parent() {

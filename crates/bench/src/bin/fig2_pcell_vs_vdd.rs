@@ -119,6 +119,7 @@ fn backend_law_sweep(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = RunOptions::from_args();
+    options.check(None)?;
     if let Some(sweep) = LawSweep::for_backend(options.backend_kind(), &options) {
         return backend_law_sweep(&options, &sweep);
     }

@@ -31,17 +31,14 @@
 //! * `--kind-law <law>` — how faulty cells behave (`flip|stuck-at|`
 //!   `stuck-at:P` with `P = Pr(stuck at 0)`, see
 //!   [`faultmit_memsim::FaultKindLaw`]); honoured by
-//!   `fig8_backend_matrix` and `fig9_data_sensitivity`;
-//! * `--kernel <sparse|bitsliced256|auto>` — the Monte-Carlo evaluation
-//!   kernel ([`faultmit_sim::KernelKind`]); every kernel produces
-//!   bit-identical campaign state, so this selects throughput only
-//!   (`auto` picks sparse or bitsliced256 from the campaign's fault
-//!   density). Honoured by the MSE catalogue campaigns (`fig5_mse_cdf`,
-//!   `fig8_backend_matrix`, `fig9_data_sensitivity`). The removed
-//!   `scalar` and `bitsliced` kernels are rejected by name;
-//! * `--auto-threshold <f/row>` — override the `auto` kernel's density
-//!   threshold in expected faults per row (requires `--kernel auto`; see
-//!   [`faultmit_sim::AUTO_FAULTS_PER_ROW_THRESHOLD`]).
+//!   `fig8_backend_matrix` and `fig9_data_sensitivity`.
+//!
+//! A missing or malformed value of a flag that shapes the campaign
+//! (`--threads`, `--samples`, `--backend`, `--t-ref-ns`, `--temp-c`,
+//! `--image`, `--kind-law`, `--shard` and the driver counts) is fatal, and
+//! so are the removed `--kernel`, `--auto-threshold` and `--wide-generation`
+//! flags: [`RunOptions::check`] is the one gate every binary runs before
+//! any work, so a typo never silently runs a different campaign.
 //!
 //! Anything else is collected as a positional argument (e.g. the benchmark
 //! selector of `fig7_quality`).
@@ -51,7 +48,7 @@ use faultmit_memsim::{
     BackendKind, DramRetentionBackend, FaultBackend, FaultKindLaw, ImageSpec, MemError,
     MemoryConfig, MlcNvmBackend,
 };
-use faultmit_sim::{KernelKind, Parallelism, ShardSpec};
+use faultmit_sim::{Parallelism, ShardSpec};
 use std::path::PathBuf;
 
 /// Command-line options shared by the figure binaries.
@@ -115,30 +112,18 @@ pub struct RunOptions {
     /// Fault-kind law selected with `--kind-law <law>` (`None` = the
     /// figure's default).
     pub kind_law: Option<FaultKindLaw>,
-    /// Evaluation kernel selected with `--kernel <name>` (`None` = the
-    /// engine default, the event-driven sparse kernel). Kernels are
-    /// bit-identical, so this is a throughput knob — but it is still part
-    /// of the campaign spec so shard checkpoints record which kernel
-    /// produced them.
-    pub kernel: Option<KernelKind>,
-    /// Density threshold override for the `auto` kernel in expected faults
-    /// per row, `--auto-threshold <f/row>` (`None` = the engine default,
-    /// [`faultmit_sim::AUTO_FAULTS_PER_ROW_THRESHOLD`]). Identity-free —
-    /// it never changes campaign state — but it can flip which kernel
-    /// `auto` resolves to, so shard checkpoints record it and the merge
-    /// validates it across the set. Requires `--kernel auto`.
+    /// Always `None`: kept for the perfbench tracer (see
+    /// [`crate::figures::EngineTuning`]).
     pub auto_threshold: Option<f64>,
-    /// Unparseable values seen for the engine-tuning flags
-    /// (`--auto-threshold`, and the removed `--wide-generation`). The
-    /// campaign entry points
-    /// treat these as fatal: a typo in `--auto-threshold` must not silently
-    /// run (and record telemetry for) a different tuning than the one the
-    /// user asked for.
+    /// Always empty: kept for the perfbench tracer (see
+    /// [`crate::figures::EngineTuning`]).
     pub tuning_flag_errors: Vec<String>,
-    /// Unparseable values seen for the campaign-identity flags
-    /// (`--image`/`--kind-law`). The campaign entry points treat these as
-    /// fatal: a typo in `--image` must not silently run a different (and
-    /// much larger) sweep than the one the user asked for.
+    /// Missing or malformed values of the campaign-shaping flags
+    /// (`--threads`, `--samples`, `--backend`, `--t-ref-ns`, `--temp-c`,
+    /// `--image`, `--kind-law`) and uses of the removed `--kernel`,
+    /// `--auto-threshold` and `--wide-generation` flags. Fatal through
+    /// [`RunOptions::check`]: a typo in `--samples` must not silently run a
+    /// different campaign than the one the user asked for.
     pub spec_flag_errors: Vec<String>,
     /// Positional arguments (e.g. the benchmark selector of `fig7_quality`).
     pub positional: Vec<String>,
@@ -162,7 +147,7 @@ impl RunOptions {
         {
             Some(value) if !value.starts_with("--") => iter.next(),
             _ => {
-                eprintln!("{flag} requires a value; ignoring");
+                eprintln!("{flag} requires a value");
                 None
             }
         };
@@ -180,26 +165,31 @@ impl RunOptions {
                     }
                 }
                 "--threads" => {
-                    if let Some(count) =
-                        next_value(&mut iter, "--threads").and_then(|v| v.parse().ok())
-                    {
-                        options.threads = Some(count);
-                    }
+                    options.threads = parse_flag(
+                        next_value(&mut iter, "--threads"),
+                        "--threads",
+                        |v| v.parse().map_err(|_| "expected a worker count".to_owned()),
+                        &mut options.spec_flag_errors,
+                    );
                 }
                 "--samples" => {
-                    if let Some(count) =
-                        next_value(&mut iter, "--samples").and_then(|v| v.parse().ok())
-                    {
-                        options.samples = Some(count);
-                    }
+                    options.samples = parse_flag(
+                        next_value(&mut iter, "--samples"),
+                        "--samples",
+                        |v| match v.parse() {
+                            Ok(count) if count > 0 => Ok(count),
+                            _ => Err("expected a positive integer".to_owned()),
+                        },
+                        &mut options.spec_flag_errors,
+                    );
                 }
                 "--backend" => {
-                    if let Some(value) = next_value(&mut iter, "--backend") {
-                        match value.parse() {
-                            Ok(kind) => options.backend = Some(kind),
-                            Err(e) => eprintln!("{e}; ignoring --backend"),
-                        }
-                    }
+                    options.backend = parse_flag(
+                        next_value(&mut iter, "--backend"),
+                        "--backend",
+                        |v| v.parse().map_err(|e: MemError| e.to_string()),
+                        &mut options.spec_flag_errors,
+                    );
                 }
                 "--shard" => {
                     if let Some(value) = next_value(&mut iter, "--shard") {
@@ -240,89 +230,47 @@ impl RunOptions {
                         options.dir = Some(PathBuf::from(path));
                     }
                 }
-                "--image" => match next_value(&mut iter, "--image") {
-                    Some(value) => match value.parse() {
-                        Ok(spec) => options.image = Some(spec),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            options.spec_flag_errors.push(e.to_string());
-                        }
-                    },
-                    // A dropped value is the same class of error as a typo:
-                    // it must not fall back to a different campaign sweep.
-                    None => options
-                        .spec_flag_errors
-                        .push("--image requires a value".to_owned()),
-                },
-                "--kind-law" => match next_value(&mut iter, "--kind-law") {
-                    Some(value) => match value.parse() {
-                        Ok(law) => options.kind_law = Some(law),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            options.spec_flag_errors.push(e.to_string());
-                        }
-                    },
-                    None => options
-                        .spec_flag_errors
-                        .push("--kind-law requires a value".to_owned()),
-                },
-                "--kernel" => match next_value(&mut iter, "--kernel") {
-                    Some(value) => match value.parse() {
-                        Ok(kernel) => options.kernel = Some(kernel),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            options.spec_flag_errors.push(e.to_string());
-                        }
-                    },
-                    None => options
-                        .spec_flag_errors
-                        .push("--kernel requires a value".to_owned()),
-                },
-                "--wide-generation" => {
-                    // Consume the old on|off value so it is not taken for a
+                "--image" => {
+                    options.image = parse_flag(
+                        next_value(&mut iter, "--image"),
+                        "--image",
+                        |v| v.parse().map_err(|e: MemError| e.to_string()),
+                        &mut options.spec_flag_errors,
+                    );
+                }
+                "--kind-law" => {
+                    options.kind_law = parse_flag(
+                        next_value(&mut iter, "--kind-law"),
+                        "--kind-law",
+                        |v| v.parse().map_err(|e: MemError| e.to_string()),
+                        &mut options.spec_flag_errors,
+                    );
+                }
+                "--t-ref-ns" | "--temp-c" => {
+                    let value = parse_flag(
+                        next_value(&mut iter, arg.as_str()),
+                        arg.as_str(),
+                        |v| match v.parse::<f64>() {
+                            Ok(x) if x.is_finite() => Ok(x),
+                            _ => Err("expected a finite number".to_owned()),
+                        },
+                        &mut options.spec_flag_errors,
+                    );
+                    *(if arg == "--t-ref-ns" {
+                        &mut options.t_ref_ns
+                    } else {
+                        &mut options.temp_c
+                    }) = value;
+                }
+                "--kernel" | "--auto-threshold" | "--wide-generation" => {
+                    // Consume the old value so it is not taken for a
                     // positional argument.
                     if iter.peek().is_some_and(|value| !value.starts_with("--")) {
                         iter.next();
                     }
-                    let message = "--wide-generation was removed: block kernels always \
-                                   generate through the wide path"
-                        .to_owned();
+                    let message = format!("{arg} was removed: sparse is the one evaluation kernel");
                     eprintln!("{message}");
-                    options.tuning_flag_errors.push(message);
-                }
-                "--auto-threshold" => match next_value(&mut iter, "--auto-threshold") {
-                    Some(value) => match value.parse::<f64>() {
-                        // The threshold is a fault density (faults per row):
-                        // only finite positive values describe one.
-                        Ok(threshold) if threshold.is_finite() && threshold > 0.0 => {
-                            options.auto_threshold = Some(threshold);
-                        }
-                        _ => {
-                            let message = format!(
-                                "invalid --auto-threshold value '{value}' \
-                                 (expected a finite faults-per-row density > 0)"
-                            );
-                            eprintln!("{message}");
-                            options.tuning_flag_errors.push(message);
-                        }
-                    },
-                    None => options
-                        .tuning_flag_errors
-                        .push("--auto-threshold requires a value".to_owned()),
-                },
-                "--t-ref-ns" => {
-                    if let Some(value) =
-                        next_value(&mut iter, "--t-ref-ns").and_then(|v| v.parse().ok())
-                    {
-                        options.t_ref_ns = Some(value);
-                    }
-                }
-                "--temp-c" => {
-                    if let Some(value) =
-                        next_value(&mut iter, "--temp-c").and_then(|v| v.parse().ok())
-                    {
-                        options.temp_c = Some(value);
-                    }
+                    options.spec_flag_errors.push(message);
                 }
                 _ => options.positional.push(arg),
             }
@@ -361,12 +309,31 @@ impl RunOptions {
         self.samples.unwrap_or(default).max(1)
     }
 
-    /// The engine tuning implied by `--auto-threshold` (defaults keep the
-    /// engine defaults).
-    #[must_use]
-    pub fn tuning(&self) -> crate::figures::EngineTuning {
-        crate::figures::EngineTuning {
-            auto_threshold: self.auto_threshold,
+    /// The one flag gate every binary runs before any work: fails with
+    /// every malformed flag value, removed flag and bad `--shard` or driver
+    /// count, and — given the resolved `spec` of a registered figure — with
+    /// every `--backend`/`--image`/`--kind-law` the figure does not carry.
+    ///
+    /// # Errors
+    ///
+    /// Returns the messages joined by `"; "`.
+    pub fn check(&self, spec: Option<&crate::figures::FigureSpec>) -> Result<(), String> {
+        let mut errors: Vec<String> = self
+            .spec_flag_errors
+            .iter()
+            .chain(&self.tuning_flag_errors)
+            .chain(&self.shard_error)
+            .chain(&self.driver_flag_errors)
+            .cloned()
+            .collect();
+        if let Some(Err(error)) = spec.map(|spec| crate::figures::check_identity_flags(spec, self))
+        {
+            errors.push(error);
+        }
+        if errors.is_empty() {
+            Ok(())
+        } else {
+            Err(errors.join("; "))
         }
     }
 
@@ -412,6 +379,29 @@ impl RunOptions {
             println!("wrote metrics report to {}", path.display());
         }
         Ok(())
+    }
+}
+
+/// Parses a campaign-shaping flag's value, recording a missing (`None`) or
+/// malformed value in `errors` as `invalid <flag> value '<v>' (<why>)`.
+fn parse_flag<T>(
+    value: Option<String>,
+    flag: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+    errors: &mut Vec<String>,
+) -> Option<T> {
+    let Some(value) = value else {
+        errors.push(format!("{flag} requires a value"));
+        return None;
+    };
+    match parse(&value) {
+        Ok(parsed) => Some(parsed),
+        Err(why) => {
+            let error = format!("invalid {flag} value '{value}' ({why})");
+            eprintln!("{error}");
+            errors.push(error);
+            None
+        }
     }
 }
 
@@ -755,96 +745,26 @@ mod tests {
     }
 
     #[test]
-    fn parse_recognises_the_kernel_flag() {
-        let opts = RunOptions::parse(["--kernel", "bitsliced256"].iter().map(|s| (*s).to_owned()));
-        assert_eq!(opts.kernel, Some(KernelKind::Bitsliced256));
-        assert!(opts.spec_flag_errors.is_empty());
-
-        let opts = RunOptions::parse(["--kernel", "auto"].iter().map(|s| (*s).to_owned()));
-        assert_eq!(opts.kernel, Some(KernelKind::Auto));
-        assert!(opts.spec_flag_errors.is_empty());
-
-        let opts = RunOptions::parse(std::iter::empty());
-        assert!(opts.kernel.is_none());
-
-        // A typo must be fatal for the campaign entry points, not a silent
-        // fall-back to the default kernel's telemetry label.
-        let opts = RunOptions::parse(["--kernel", "vectorised"].iter().map(|s| (*s).to_owned()));
-        assert!(opts.kernel.is_none());
-        assert_eq!(opts.spec_flag_errors.len(), 1);
-        assert!(opts.spec_flag_errors[0].contains("vectorised"));
-
-        // The removed kernels fail by name.
-        for removed in ["scalar", "bitsliced"] {
-            let opts = RunOptions::parse(["--kernel".to_owned(), removed.to_owned()]);
-            assert!(opts.kernel.is_none());
-            assert_eq!(opts.spec_flag_errors.len(), 1, "{removed}");
-            assert!(
-                opts.spec_flag_errors[0].contains(&format!("kernel '{removed}' was removed")),
-                "{:?}",
-                opts.spec_flag_errors
-            );
-        }
-
-        // A dropped value is recorded too.
-        let opts = RunOptions::parse(["--kernel", "--full"].iter().map(|s| (*s).to_owned()));
-        assert!(opts.kernel.is_none());
-        assert_eq!(opts.spec_flag_errors, vec!["--kernel requires a value"]);
-    }
-
-    #[test]
-    fn parse_recognises_the_tuning_flags() {
-        let opts = RunOptions::parse(["--auto-threshold", "0.25"].iter().map(|s| (*s).to_owned()));
-        assert_eq!(opts.auto_threshold, Some(0.25));
-        assert!(opts.tuning_flag_errors.is_empty());
-        assert_eq!(opts.tuning().auto_threshold, Some(0.25));
-
-        let opts = RunOptions::parse(std::iter::empty());
-        assert!(opts.auto_threshold.is_none());
-        assert_eq!(opts.tuning(), crate::figures::EngineTuning::default());
-
-        // The removed --wide-generation flag fails with a message saying
-        // so, and its old value is not taken for a positional argument.
+    fn removed_flags_fail_with_a_message() {
+        // The removed kernel flags fail by name, and their old value is not
+        // taken for a positional argument.
         for args in [
+            &["--kernel", "sparse"][..],
+            &["--kernel", "bitsliced256"][..],
+            &["--auto-threshold", "0.1"][..],
             &["--wide-generation", "off"][..],
-            &["--wide-generation", "on"][..],
             &["--wide-generation"][..],
         ] {
             let opts = RunOptions::parse(args.iter().map(|s| (*s).to_owned()));
-            assert_eq!(opts.tuning_flag_errors.len(), 1, "{args:?}");
+            assert_eq!(opts.spec_flag_errors.len(), 1, "{args:?}");
             assert!(
-                opts.tuning_flag_errors[0].contains("--wide-generation was removed"),
+                opts.spec_flag_errors[0].contains(&format!("{} was removed", args[0])),
                 "{:?}",
-                opts.tuning_flag_errors
+                opts.spec_flag_errors
             );
             assert!(opts.positional.is_empty(), "{args:?}");
+            assert!(opts.check(None).is_err(), "{args:?}");
         }
-
-        // Typos and out-of-domain thresholds are consumed and recorded as
-        // fatal: a bad tuning flag must not silently run (and record
-        // telemetry for) a different tuning than the one asked for.
-        let opts = RunOptions::parse(["--auto-threshold", "-1"].iter().map(|s| (*s).to_owned()));
-        assert!(opts.auto_threshold.is_none());
-        assert_eq!(opts.tuning_flag_errors.len(), 1);
-        assert!(opts.tuning_flag_errors[0].contains("-1"));
-        for bad in ["nan", "inf", "0"] {
-            let opts = RunOptions::parse(["--auto-threshold".to_owned(), bad.to_owned()]);
-            assert!(opts.auto_threshold.is_none(), "{bad} must be rejected");
-            assert_eq!(opts.tuning_flag_errors.len(), 1, "{bad}");
-        }
-
-        // A dropped value is recorded too.
-        let opts = RunOptions::parse(
-            ["--auto-threshold", "--full"]
-                .iter()
-                .map(|s| (*s).to_owned()),
-        );
-        assert!(opts.auto_threshold.is_none());
-        assert!(opts.full_scale);
-        assert_eq!(
-            opts.tuning_flag_errors,
-            vec!["--auto-threshold requires a value"]
-        );
     }
 
     #[test]
@@ -866,17 +786,33 @@ mod tests {
     }
 
     #[test]
-    fn missing_or_invalid_values_are_ignored() {
+    fn missing_or_invalid_values_are_fatal() {
+        // A dangling --json is ignored: it selects no campaign.
         let opts = RunOptions::parse(["--json".to_owned()]);
         assert!(opts.json_path.is_none());
-        // A non-numeric --threads value is consumed and ignored.
-        let opts = RunOptions::parse(["--threads".to_owned(), "abc".to_owned()]);
-        assert!(opts.threads.is_none());
-        assert!(opts.positional.is_empty());
-        // An unknown backend is consumed, reported and ignored.
-        let opts = RunOptions::parse(["--backend".to_owned(), "flash".to_owned()]);
-        assert!(opts.backend.is_none());
-        assert!(opts.positional.is_empty());
+        assert!(opts.check(None).is_ok());
+        // A malformed or missing value of a campaign-shaping flag is
+        // consumed and fatal, never a silent fall-back to the default.
+        for (args, needle) in [
+            (&["--threads", "abc"][..], "invalid --threads value 'abc'"),
+            (&["--samples", "1O"][..], "invalid --samples value '1O'"),
+            (&["--samples", "0"][..], "invalid --samples value '0'"),
+            (&["--samples"][..], "--samples requires a value"),
+            (&["--backend", "flash"][..], "unknown backend 'flash'"),
+            (&["--t-ref-ns", "abc"][..], "invalid --t-ref-ns value 'abc'"),
+            (&["--temp-c", "nan"][..], "invalid --temp-c value 'nan'"),
+        ] {
+            let opts = RunOptions::parse(args.iter().map(|s| (*s).to_owned()));
+            assert!(opts.positional.is_empty(), "{args:?}");
+            assert!(opts.threads.is_none() && opts.samples.is_none(), "{args:?}");
+            assert!(
+                opts.backend.is_none() && opts.t_ref_ns.is_none(),
+                "{args:?}"
+            );
+            assert!(opts.temp_c.is_none(), "{args:?}");
+            let error = opts.check(None).unwrap_err();
+            assert!(error.contains(needle), "{args:?}: {error}");
+        }
     }
 
     #[test]

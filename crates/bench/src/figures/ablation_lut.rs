@@ -3,8 +3,8 @@
 //! deterministic die population).
 
 use super::{
-    single_panel, take_table, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState,
-    RenderedFigure, ShardRun,
+    single_panel, take_table, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -96,7 +96,6 @@ impl FigureDef for AblationLutDef {
             benchmarks: Vec::new(),
             image: None,
             kind_law: None,
-            kernel: None,
         }
     }
 
@@ -108,10 +107,9 @@ impl FigureDef for AblationLutDef {
         Some(1024)
     }
 
-    fn run_shard_tuned(
+    fn run_shard(
         &self,
         _spec: &FigureSpec,
-        _tuning: EngineTuning,
         _parallelism: Parallelism,
         _shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {

@@ -2,8 +2,7 @@
 //! as a paired campaign over raw record streams.
 
 use super::{
-    take_records, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
-    ShardRun,
+    take_records, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -14,7 +13,7 @@ use faultmit_core::{
 };
 use faultmit_memsim::{corrupt_word, Backend, FaultMap, MemoryConfig};
 use faultmit_sim::{
-    per_die, Campaign, CampaignConfig, CollectRecords, PairedSample, Parallelism, ShardSpec,
+    Campaign, CampaignConfig, CollectRecords, PairedSample, Parallelism, ShardSpec,
 };
 use std::fmt::Write as _;
 
@@ -153,7 +152,6 @@ impl FigureDef for AblationShiftDef {
             benchmarks: Vec::new(),
             image: None,
             kind_law: None,
-            kernel: None,
         }
     }
 
@@ -168,10 +166,9 @@ impl FigureDef for AblationShiftDef {
         Some(memory_rows(spec) as u64)
     }
 
-    fn run_shard_tuned(
+    fn run_shard(
         &self,
         spec: &FigureSpec,
-        _tuning: EngineTuning,
         parallelism: Parallelism,
         shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {
@@ -188,7 +185,7 @@ impl FigureDef for AblationShiftDef {
                     &schemes,
                     ABLATION_SHIFT_SEED,
                     shard,
-                    per_die(memory_mse),
+                    memory_mse,
                     CollectRecords::new,
                 )?;
                 Ok(PanelState::Records {

@@ -2,8 +2,8 @@
 //! FM-LUT width (deterministic; no Monte-Carlo content).
 
 use super::{
-    single_panel, take_table, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState,
-    RenderedFigure, ShardRun,
+    single_panel, take_table, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -75,7 +75,6 @@ impl FigureDef for Fig4Def {
             benchmarks: Vec::new(),
             image: None,
             kind_law: None,
-            kernel: None,
         }
     }
 
@@ -83,10 +82,9 @@ impl FigureDef for Fig4Def {
         vec!["fig4".to_owned()]
     }
 
-    fn run_shard_tuned(
+    fn run_shard(
         &self,
         _spec: &FigureSpec,
-        _tuning: EngineTuning,
         _parallelism: Parallelism,
         _shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {

@@ -2,8 +2,8 @@
 //! under the full protection catalogue.
 
 use super::{
-    single_panel, take_catalogue, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState,
-    RenderedFigure, ShardRun,
+    single_panel, take_catalogue, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -32,18 +32,12 @@ pub struct Fig5Campaign {
 }
 
 impl Fig5Campaign {
-    /// Builds the campaign for a spec (the spec's figure must be `fig5`),
-    /// with identity-free engine tuning applied (results stay bit-identical
-    /// under any tuning).
+    /// Builds the campaign for a spec (the spec's figure must be `fig5`).
     ///
     /// # Errors
     ///
     /// Propagates backend-calibration errors.
-    pub fn from_spec(
-        spec: &FigureSpec,
-        tuning: EngineTuning,
-        parallelism: Parallelism,
-    ) -> Result<Self, FigureError> {
+    pub fn from_spec(spec: &FigureSpec, parallelism: Parallelism) -> Result<Self, FigureError> {
         assert_eq!(spec.figure, "fig5", "not a Fig. 5 spec");
         // The paper evaluates a 16 KB memory at P_cell = 5e-6 over failure
         // counts 1..150 with 1e7 MC runs; the reduced default keeps the same
@@ -53,9 +47,7 @@ impl Fig5Campaign {
         let config = CampaignConfig::for_backend(backend)?
             .with_samples_per_count(spec.samples_per_count)
             .with_max_failures(max_failures)
-            .with_parallelism(parallelism)
-            .with_kernel(spec.kernel_kind())
-            .with_auto_threshold(tuning.auto_threshold);
+            .with_parallelism(parallelism);
         Ok(Self {
             engine: MonteCarloEngine::new(config),
             schemes: Scheme::fig5_catalogue(),
@@ -164,7 +156,6 @@ impl FigureDef for Fig5Def {
             benchmarks: Vec::new(),
             image: None,
             kind_law: None,
-            kernel: options.kernel,
         }
     }
 
@@ -176,19 +167,13 @@ impl FigureDef for Fig5Def {
         Some(MemoryConfig::paper_16kb().rows() as u64)
     }
 
-    fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
-        let campaign = Fig5Campaign::from_spec(spec, tuning, Parallelism::Serial).ok()?;
-        super::kernel_telemetry(spec.kernel, campaign.engine.config().resolved_kernel().ok())
-    }
-
-    fn run_shard_tuned(
+    fn run_shard(
         &self,
         spec: &FigureSpec,
-        tuning: EngineTuning,
         parallelism: Parallelism,
         shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {
-        let campaign = Fig5Campaign::from_spec(spec, tuning, parallelism)?;
+        let campaign = Fig5Campaign::from_spec(spec, parallelism)?;
         let (accumulator, stats) = campaign.run_shard(shard)?;
         Ok(ShardRun {
             panels: vec![PanelState::Catalogue {
@@ -209,7 +194,7 @@ impl FigureDef for Fig5Def {
         parallelism: Parallelism,
         panels: Vec<PanelState>,
     ) -> Result<RenderedFigure, FigureError> {
-        let campaign = Fig5Campaign::from_spec(spec, EngineTuning::default(), parallelism)?;
+        let campaign = Fig5Campaign::from_spec(spec, parallelism)?;
         let (_, accumulator) = take_catalogue(single_panel(panels, "fig5")?, "fig5")?;
         let results = campaign.results(accumulator)?;
 

@@ -2,8 +2,8 @@
 //! H(39,32) SECDED baseline (deterministic analytical 28 nm cost model).
 
 use super::{
-    single_panel, take_table, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState,
-    RenderedFigure, ShardRun,
+    single_panel, take_table, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -78,7 +78,6 @@ impl FigureDef for Fig6Def {
             benchmarks: Vec::new(),
             image: None,
             kind_law: None,
-            kernel: None,
         }
     }
 
@@ -86,10 +85,9 @@ impl FigureDef for Fig6Def {
         vec!["fig6".to_owned()]
     }
 
-    fn run_shard_tuned(
+    fn run_shard(
         &self,
         _spec: &FigureSpec,
-        _tuning: EngineTuning,
         _parallelism: Parallelism,
         _shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {

@@ -2,8 +2,8 @@
 //! benchmarks under memory failures.
 
 use super::{
-    selected_benchmarks, take_catalogue, EngineTuning, FigureDef, FigureError, FigureSpec,
-    PanelState, RenderedFigure, ShardRun,
+    selected_benchmarks, take_catalogue, FigureDef, FigureError, FigureSpec, PanelState,
+    RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -206,9 +206,6 @@ impl FigureDef for Fig7Def {
             benchmarks: selected_benchmarks(&options.positional),
             image: None,
             kind_law: None,
-            // Quality campaigns evaluate through the apps layer, not the
-            // MSE kernels.
-            kernel: None,
         }
     }
 
@@ -223,10 +220,9 @@ impl FigureDef for Fig7Def {
         Some(if spec.full_scale { 4096 } else { 512 })
     }
 
-    fn run_shard_tuned(
+    fn run_shard(
         &self,
         spec: &FigureSpec,
-        _tuning: EngineTuning,
         parallelism: Parallelism,
         shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {

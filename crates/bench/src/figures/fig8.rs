@@ -2,8 +2,7 @@
 //! across memory technologies and operating points.
 
 use super::{
-    take_catalogue, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
-    ShardRun,
+    take_catalogue, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -95,10 +94,9 @@ fn failure_cap(spec: &FigureSpec) -> u64 {
 }
 
 /// One cell of the backend × operating-point matrix, materialised into a
-/// catalogue engine with the (identity-free) tuning applied.
+/// catalogue engine.
 fn panel_engines(
     spec: &FigureSpec,
-    tuning: EngineTuning,
     parallelism: Parallelism,
 ) -> Result<Vec<(BackendKind, MonteCarloEngine<Backend>)>, FigureError> {
     let memory = MemoryConfig::paper_16kb();
@@ -117,9 +115,7 @@ fn panel_engines(
                 CampaignConfig::for_backend(backend)?
                     .with_samples_per_count(spec.samples_per_count)
                     .with_max_failures(max_failures)
-                    .with_parallelism(parallelism)
-                    .with_kernel(spec.kernel_kind())
-                    .with_auto_threshold(tuning.auto_threshold),
+                    .with_parallelism(parallelism),
             );
             engines.push((kind, engine));
         }
@@ -156,7 +152,6 @@ impl FigureDef for Fig8Def {
             // None = the paper's always-observable flips; `--kind-law`
             // switches every cell of the matrix to the given behaviour.
             kind_law: options.kind_law,
-            kernel: options.kernel,
         }
     }
 
@@ -171,29 +166,16 @@ impl FigureDef for Fig8Def {
         Some(MemoryConfig::paper_16kb().rows() as u64)
     }
 
-    fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
-        // Each operating point of the matrix resolves `auto` at its own
-        // density; the telemetry joins the distinct choices.
-        let engines = panel_engines(spec, tuning, Parallelism::Serial).ok()?;
-        super::kernel_telemetry(
-            spec.kernel,
-            engines
-                .iter()
-                .filter_map(|(_, engine)| engine.config().resolved_kernel().ok()),
-        )
-    }
-
-    fn run_shard_tuned(
+    fn run_shard(
         &self,
         spec: &FigureSpec,
-        tuning: EngineTuning,
         parallelism: Parallelism,
         shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {
         let schemes = spec_schemes();
         let scheme_names: Vec<String> = schemes.iter().map(MitigationScheme::name).collect();
         let mut generation_seconds = 0.0;
-        let panels = panel_engines(spec, tuning, parallelism)?
+        let panels = panel_engines(spec, parallelism)?
             .into_iter()
             .map(|(_, engine)| {
                 let (accumulator, stats) =
@@ -218,7 +200,7 @@ impl FigureDef for Fig8Def {
         panels: Vec<PanelState>,
     ) -> Result<RenderedFigure, FigureError> {
         let schemes = spec_schemes();
-        let engines = panel_engines(spec, EngineTuning::default(), parallelism)?;
+        let engines = panel_engines(spec, parallelism)?;
         if panels.len() != engines.len() {
             return Err(format!(
                 "fig8 expects {} operating-point panels, got {}",
@@ -332,12 +314,7 @@ mod tests {
         // silent: every scheme's mean MSE collapses to zero, unlike the
         // default flip law.
         let panels = figure
-            .run_shard_tuned(
-                &spec,
-                EngineTuning::default(),
-                Parallelism::Serial,
-                ShardSpec::solo(),
-            )
+            .run_shard(&spec, Parallelism::Serial, ShardSpec::solo())
             .unwrap()
             .panels;
         let rendered = figure.render(&spec, Parallelism::Serial, panels).unwrap();

@@ -13,8 +13,7 @@
 //! rows measures the data dependence directly.
 
 use super::{
-    take_catalogue, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
-    ShardRun,
+    take_catalogue, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -146,20 +145,6 @@ impl Fig9Campaign {
         spec: &FigureSpec,
         parallelism: Parallelism,
     ) -> Result<Vec<Fig9Campaign>, FigureError> {
-        Self::matrix_tuned(spec, EngineTuning::default(), parallelism)
-    }
-
-    /// [`Fig9Campaign::matrix`] with identity-free engine tuning applied to
-    /// every cell (results stay bit-identical under any tuning).
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend-calibration and image-materialisation errors.
-    pub fn matrix_tuned(
-        spec: &FigureSpec,
-        tuning: EngineTuning,
-        parallelism: Parallelism,
-    ) -> Result<Vec<Fig9Campaign>, FigureError> {
         let memory = MemoryConfig::paper_16kb();
         let cap = failure_cap(spec);
         let mut cells = Vec::new();
@@ -174,9 +159,7 @@ impl Fig9Campaign {
                             .with_samples_per_count(spec.samples_per_count)
                             .with_max_failures(max_failures)
                             .with_parallelism(parallelism)
-                            .with_image(image)
-                            .with_kernel(spec.kernel_kind())
-                            .with_auto_threshold(tuning.auto_threshold),
+                            .with_image(image),
                     );
                     cells.push(Fig9Campaign {
                         kind,
@@ -283,7 +266,6 @@ impl FigureDef for Fig9Def {
             benchmarks: Vec::new(),
             image: options.image,
             kind_law: options.kind_law,
-            kernel: options.kernel,
         }
     }
 
@@ -307,22 +289,9 @@ impl FigureDef for Fig9Def {
         Some(MemoryConfig::paper_16kb().rows() as u64)
     }
 
-    fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
-        // Every cell of the matrix resolves `auto` at its own density; the
-        // telemetry joins the distinct choices.
-        let cells = Fig9Campaign::matrix_tuned(spec, tuning, Parallelism::Serial).ok()?;
-        super::kernel_telemetry(
-            spec.kernel,
-            cells
-                .iter()
-                .filter_map(|cell| cell.engine.config().resolved_kernel().ok()),
-        )
-    }
-
-    fn run_shard_tuned(
+    fn run_shard(
         &self,
         spec: &FigureSpec,
-        tuning: EngineTuning,
         parallelism: Parallelism,
         shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {
@@ -334,7 +303,7 @@ impl FigureDef for Fig9Def {
             .map(|image| Ok((image, fig9_image_words(image)?)))
             .collect::<Result<_, FigureError>>()?;
         let mut generation_seconds = 0.0;
-        let panels = Fig9Campaign::matrix_tuned(spec, tuning, parallelism)?
+        let panels = Fig9Campaign::matrix(spec, parallelism)?
             .into_iter()
             .map(|cell| {
                 let data = words_by_image
@@ -521,12 +490,7 @@ mod tests {
         ]);
         let spec = figure.spec(&options);
         let panels = figure
-            .run_shard_tuned(
-                &spec,
-                EngineTuning::default(),
-                Parallelism::Serial,
-                ShardSpec::solo(),
-            )
+            .run_shard(&spec, Parallelism::Serial, ShardSpec::solo())
             .unwrap()
             .panels;
         let rendered = figure.render(&spec, Parallelism::Serial, panels).unwrap();
@@ -562,12 +526,7 @@ mod tests {
         let options = small_options(&["--backend", "dram", "--kind-law", "flip", "--samples", "2"]);
         let spec = figure.spec(&options);
         let panels = figure
-            .run_shard_tuned(
-                &spec,
-                EngineTuning::default(),
-                Parallelism::Serial,
-                ShardSpec::solo(),
-            )
+            .run_shard(&spec, Parallelism::Serial, ShardSpec::solo())
             .unwrap()
             .panels;
         let rendered = figure.render(&spec, Parallelism::Serial, panels).unwrap();

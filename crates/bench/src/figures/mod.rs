@@ -54,7 +54,7 @@ use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::CatalogueAccumulator;
 use faultmit_apps::Benchmark;
 use faultmit_memsim::{BackendKind, FaultKindLaw, ImageSpec};
-use faultmit_sim::{Accumulator, KernelKind, PairedSample, Parallelism, ShardSpec};
+use faultmit_sim::{Accumulator, PairedSample, Parallelism, ShardSpec};
 
 /// Errors from figure materialisation, evaluation or rendering.
 pub type FigureError = Box<dyn std::error::Error>;
@@ -124,12 +124,6 @@ pub struct FigureSpec {
     /// `fig9`; `None` = the figure's default; other figures normalise it
     /// away).
     pub kind_law: Option<FaultKindLaw>,
-    /// Evaluation kernel for the MSE catalogue campaigns (`fig5`, `fig8`,
-    /// `fig9`; `None` = the engine default, event-driven sparse; other
-    /// figures normalise it away). Every kernel accumulates bit-identical
-    /// state — carrying the choice in the spec makes shard checkpoints
-    /// record which kernel produced them.
-    pub kernel: Option<KernelKind>,
 }
 
 impl FigureSpec {
@@ -140,14 +134,9 @@ impl FigureSpec {
         self.backend.unwrap_or(BackendKind::Sram)
     }
 
-    /// The evaluation kernel a Monte-Carlo campaign runs with (the
-    /// engine's sparse default when the spec records none).
-    #[must_use]
-    pub fn kernel_kind(&self) -> KernelKind {
-        self.kernel.unwrap_or_default()
-    }
-
-    /// Serialises the spec for embedding in shard-state files.
+    /// Serialises the spec for embedding in shard-state files. The trailing
+    /// `"kernel": null` is a fixed slot of the v3 checkpoint format, kept so
+    /// checkpoint bytes stay unchanged; see [`FigureSpec::from_json`].
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object([
@@ -184,13 +173,7 @@ impl FigureSpec {
                     Some(law) => law.to_string().to_json(),
                 },
             ),
-            (
-                "kernel",
-                match self.kernel {
-                    None => JsonValue::Null,
-                    Some(kernel) => kernel.as_str().to_json(),
-                },
-            ),
+            ("kernel", JsonValue::Null),
         ])
     }
 
@@ -200,7 +183,10 @@ impl FigureSpec {
     /// # Errors
     ///
     /// Returns a description of the first missing or malformed field, or of
-    /// an unregistered figure name.
+    /// an unregistered figure name. The v3 `kernel` slot may be `null` or
+    /// `"sparse"`, the one evaluation kernel; a checkpoint naming any other
+    /// kernel fails with `kernel '<name>' was removed; recompute this
+    /// checkpoint`.
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
         let figure = value
             .get("figure")
@@ -259,20 +245,20 @@ impl FigureSpec {
                     .map_err(|e| e.to_string())?,
             ),
         };
-        let kernel = match value.get("kernel") {
-            None | Some(JsonValue::Null) => None,
-            Some(node) => {
-                let name = node
-                    .as_str()
-                    .ok_or("spec 'kernel' must be a string or null")?;
-                if KernelKind::REMOVED.contains(&name) {
+        match value.get("kernel") {
+            None | Some(JsonValue::Null) => {}
+            Some(node) => match node
+                .as_str()
+                .ok_or("spec 'kernel' must be a string or null")?
+            {
+                "sparse" => {}
+                name => {
                     return Err(format!(
                         "kernel '{name}' was removed; recompute this checkpoint"
-                    ));
+                    ))
                 }
-                Some(name.parse::<KernelKind>().map_err(|e| e.to_string())?)
-            }
-        };
+            },
+        }
         Ok(Self {
             figure,
             backend,
@@ -281,25 +267,11 @@ impl FigureSpec {
             benchmarks,
             image,
             kind_law,
-            kernel,
         })
     }
 }
 
-/// Identity-free engine tuning the campaign drivers thread into a figure's
-/// engines: knobs that change *how fast* a campaign runs, never *what* it
-/// computes, so they are deliberately **not** part of [`FigureSpec`] —
-/// checkpoints produced under different tuning merge freely and render
-/// byte-identical documents.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EngineTuning {
-    /// Overrides the `auto` kernel's density threshold in expected faults
-    /// per row (`--auto-threshold`); `None` keeps
-    /// [`faultmit_sim::AUTO_FAULTS_PER_ROW_THRESHOLD`].
-    pub auto_threshold: Option<f64>,
-}
-
-/// The outcome of one tuned shard evaluation: the panel states plus
+/// The outcome of one shard evaluation: the panel states plus
 /// whatever run telemetry the figure's engines surfaced.
 #[derive(Debug)]
 pub struct ShardRun {
@@ -547,31 +519,16 @@ pub trait FigureDef: Sync {
         None
     }
 
-    /// The kernel telemetry a shard checkpoint of this figure records
-    /// under `spec` and `tuning` — the kernel that actually executes. The
-    /// default reports the spec's kernel name verbatim; the MSE catalogue
-    /// figures override it so `--kernel auto` records the density-resolved
-    /// choice (`"auto:sparse"` / `"auto:bitsliced256"`, which an
-    /// `--auto-threshold` override can flip), letting merges verify every
-    /// shard resolved identically.
-    fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
-        let _ = tuning;
-        spec.kernel.map(|kernel| kernel.as_str().to_owned())
-    }
-
-    /// Evaluates one shard of every panel, in panel order, with
-    /// [`EngineTuning`] applied and run telemetry surfaced. Tuning never
-    /// changes panel states: for any tuning, the returned panels are
-    /// bit-identical.
+    /// Evaluates one shard of every panel, in panel order, with run
+    /// telemetry surfaced.
     ///
     /// # Errors
     ///
     /// Propagates backend-calibration, evaluator-construction and campaign
     /// errors.
-    fn run_shard_tuned(
+    fn run_shard(
         &self,
         spec: &FigureSpec,
-        tuning: EngineTuning,
         parallelism: Parallelism,
         shard: ShardSpec,
     ) -> Result<ShardRun, FigureError>;
@@ -629,83 +586,32 @@ pub fn find_figure(name: &str) -> Result<&'static dyn FigureDef, String> {
         })
 }
 
-/// Formats the checkpoint kernel telemetry for a campaign's configured
-/// kernel and the fixed kernels its panels actually execute: fixed kernels
-/// report their own name, `auto` reports `"auto:<resolved>"` (with `+`
-/// joining the distinct choices of a multi-panel figure whose operating
-/// points resolve differently). The resolution is a pure function of the
-/// campaign spec, so every shard of a campaign records the same string —
-/// the invariant [`crate::shard::ShardState::merge`] verifies.
-pub(crate) fn kernel_telemetry<I>(kernel: Option<KernelKind>, resolved: I) -> Option<String>
-where
-    I: IntoIterator<Item = KernelKind>,
-{
-    let kernel = kernel?;
-    if kernel != KernelKind::Auto {
-        return Some(kernel.as_str().to_owned());
+/// Rejects campaign-identity flags (`--backend`/`--image`/`--kind-law`)
+/// that the resolved spec does not carry: a figure that normalises the
+/// flag away would silently run a different campaign than the one the user
+/// asked for — the same policy an unparseable value already gets. Called
+/// through [`RunOptions::check`].
+pub(crate) fn check_identity_flags(spec: &FigureSpec, options: &RunOptions) -> Result<(), String> {
+    if options.backend.is_some() && spec.backend != options.backend {
+        return Err(format!(
+            "figure '{}' does not support --backend (it evaluates no fault \
+             backend)",
+            spec.figure
+        ));
     }
-    let mut names: Vec<&'static str> = Vec::new();
-    for choice in resolved {
-        if !names.contains(&choice.as_str()) {
-            names.push(choice.as_str());
-        }
-    }
-    if names.is_empty() {
-        return Some(kernel.as_str().to_owned());
-    }
-    Some(format!("auto:{}", names.join("+")))
-}
-
-/// Rejects campaign-identity flags (`--image`/`--kind-law`) that the
-/// resolved spec does not carry: a figure that normalises the flag away
-/// would silently run a different campaign than the one the user asked
-/// for — the same policy an unparseable value already gets.
-///
-/// # Errors
-///
-/// Returns a message naming the unsupported flag and the figure.
-pub fn check_identity_flags(spec: &FigureSpec, options: &RunOptions) -> Result<(), FigureError> {
     if options.image.is_some() && spec.image != options.image {
         return Err(format!(
             "figure '{}' does not support --image (only fig9_data_sensitivity evaluates \
              data images)",
             spec.figure
-        )
-        .into());
+        ));
     }
     if options.kind_law.is_some() && spec.kind_law != options.kind_law {
         return Err(format!(
             "figure '{}' does not support --kind-law (fig8_backend_matrix and \
              fig9_data_sensitivity do)",
             spec.figure
-        )
-        .into());
-    }
-    if options.kernel.is_some() && spec.kernel != options.kernel {
-        return Err(format!(
-            "figure '{}' does not support --kernel (the MSE catalogue campaigns \
-             fig5_mse_cdf, fig8_backend_matrix and fig9_data_sensitivity do)",
-            spec.figure
-        )
-        .into());
-    }
-    Ok(())
-}
-
-/// Rejects an inconsistent engine-tuning request: `--auto-threshold`
-/// re-tunes the `auto` kernel's density resolution, so it is meaningless —
-/// and silently inert — under any other `--kernel` choice.
-///
-/// # Errors
-///
-/// Returns a message naming the missing `--kernel auto`.
-pub fn check_tuning_flags(options: &RunOptions) -> Result<(), FigureError> {
-    if options.auto_threshold.is_some() && options.kernel != Some(KernelKind::Auto) {
-        return Err(
-            "--auto-threshold requires --kernel auto (it overrides the auto \
-                    kernel's faults-per-row density threshold)"
-                .into(),
-        );
+        ));
     }
     Ok(())
 }
@@ -720,18 +626,8 @@ pub fn check_tuning_flags(options: &RunOptions) -> Result<(), FigureError> {
 pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
     let options = RunOptions::from_args();
     let figure = find_figure(name)?;
-    // A typo in a campaign-identity flag (--image/--kind-law) must not
-    // silently run a different campaign than the one the user asked for —
-    // and a typo in a tuning flag must not silently run a different tuning.
-    if !options.spec_flag_errors.is_empty() {
-        return Err(options.spec_flag_errors.join("; ").into());
-    }
-    if !options.tuning_flag_errors.is_empty() {
-        return Err(options.tuning_flag_errors.join("; ").into());
-    }
-    check_tuning_flags(&options)?;
     let spec = figure.spec(&options);
-    check_identity_flags(&spec, &options)?;
+    options.check(Some(&spec))?;
     // The metrics recorder is installed only when --metrics asks for a
     // report: panel states never read metrics, so the figure JSON is
     // byte-identical either way, and the default run records nothing. It
@@ -743,12 +639,7 @@ pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
         .map(|_| std::sync::Arc::new(faultmit_obs::Recorder::new()));
     let _guard = recorder.as_ref().map(faultmit_obs::install);
     let started = std::time::Instant::now();
-    let run = figure.run_shard_tuned(
-        &spec,
-        options.tuning(),
-        options.parallelism(),
-        ShardSpec::solo(),
-    )?;
+    let run = figure.run_shard(&spec, options.parallelism(), ShardSpec::solo())?;
     let elapsed_seconds = started.elapsed().as_secs_f64();
     let rendered = {
         let _span = faultmit_obs::span(faultmit_obs::Stage::Render);
@@ -766,31 +657,74 @@ pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
         let metrics = crate::metrics::ShardMetrics {
             elapsed_seconds: Some(elapsed_seconds),
             generation_seconds: run.generation_seconds,
-            kernel: report_kernel(figure, &spec, &options),
-            auto_threshold: options.auto_threshold,
             snapshot: Some(recorder.snapshot()),
+            ..crate::metrics::ShardMetrics::default()
         };
         options.write_metrics(&metrics)?;
     }
     Ok(())
 }
 
-/// The kernel a monolithic run of `spec` executed, for its `--metrics`
-/// report. A run without `--kernel` records no kernel in its spec — so
-/// checkpoint identity and kernel strings are untouched — yet its engines
-/// run the default kernel; the report names it by resolving the spec the
-/// figure builds when that kernel is passed explicitly. Figures without a
-/// kernel normalise the flag away and keep `None`.
-fn report_kernel(
-    figure: &dyn FigureDef,
-    spec: &FigureSpec,
-    options: &RunOptions,
-) -> Option<String> {
-    let explicit = RunOptions {
-        kernel: Some(spec.kernel_kind()),
-        ..options.clone()
-    };
-    figure.resolved_kernel_tuned(&figure.spec(&explicit), options.tuning())
+/// Names from before `sparse` became the one evaluation kernel, still
+/// called by the perfbench tracer (`perfbench/tracer`). The tracer is
+/// frozen with the repository benchmark, so these one-line delegates stay
+/// until the next benchmark change retires them; nothing else in the
+/// workspace uses them. The matching frozen
+/// fields are [`RunOptions::tuning_flag_errors`] (always empty),
+/// [`RunOptions::auto_threshold`] (always `None`) and
+/// [`crate::metrics::ShardMetrics`]'s `kernel` and `auto_threshold`
+/// (written as `null`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineTuning;
+
+impl RunOptions {
+    /// Tracer delegate: the fieldless [`EngineTuning`].
+    #[must_use]
+    pub fn tuning(&self) -> EngineTuning {
+        EngineTuning
+    }
+}
+
+impl dyn FigureDef {
+    /// Tracer delegate for [`FigureDef::run_shard`].
+    ///
+    /// # Errors
+    ///
+    /// As [`FigureDef::run_shard`].
+    pub fn run_shard_tuned(
+        &self,
+        spec: &FigureSpec,
+        _tuning: EngineTuning,
+        parallelism: Parallelism,
+        shard: ShardSpec,
+    ) -> Result<ShardRun, FigureError> {
+        self.run_shard(spec, parallelism, shard)
+    }
+
+    /// Tracer delegate: checkpoints record no kernel.
+    #[must_use]
+    pub fn resolved_kernel_tuned(
+        &self,
+        _spec: &FigureSpec,
+        _tuning: EngineTuning,
+    ) -> Option<String> {
+        None
+    }
+}
+
+impl Fig9Campaign {
+    /// Tracer delegate for [`Fig9Campaign::matrix`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Fig9Campaign::matrix`].
+    pub fn matrix_tuned(
+        spec: &FigureSpec,
+        _tuning: EngineTuning,
+        parallelism: Parallelism,
+    ) -> Result<Vec<Self>, FigureError> {
+        Self::matrix(spec, parallelism)
+    }
 }
 
 #[cfg(test)]
@@ -878,38 +812,40 @@ mod tests {
                 .iter()
                 .map(|s| (*s).to_owned()),
         );
-        let kernel =
-            RunOptions::parse(["--kernel", "bitsliced256"].iter().map(|s| (*s).to_owned()));
+        let backend = RunOptions::parse(["--backend", "dram"].iter().map(|s| (*s).to_owned()));
         for figure in registry() {
             let supports_image = figure.name() == "fig9";
             let supports_law = matches!(figure.name(), "fig8" | "fig9");
-            let supports_kernel = matches!(figure.name(), "fig5" | "fig8" | "fig9");
-            let image_check = check_identity_flags(&figure.spec(&image), &image);
+            let supports_backend = !matches!(
+                figure.name(),
+                "fig4" | "fig6" | "table1" | "ablation_lut_write_path"
+            );
+            let image_check = image.check(Some(&figure.spec(&image)));
             assert_eq!(
                 image_check.is_ok(),
                 supports_image,
                 "{}: --image acceptance",
                 figure.name()
             );
-            let law_check = check_identity_flags(&figure.spec(&law), &law);
+            let law_check = law.check(Some(&figure.spec(&law)));
             assert_eq!(
                 law_check.is_ok(),
                 supports_law,
                 "{}: --kind-law acceptance",
                 figure.name()
             );
-            let kernel_check = check_identity_flags(&figure.spec(&kernel), &kernel);
+            let backend_check = backend.check(Some(&figure.spec(&backend)));
             assert_eq!(
-                kernel_check.is_ok(),
-                supports_kernel,
-                "{}: --kernel acceptance",
+                backend_check.is_ok(),
+                supports_backend,
+                "{}: --backend acceptance",
                 figure.name()
             );
         }
         // No flags: nothing to reject anywhere.
         let plain = RunOptions::default();
         for figure in registry() {
-            assert!(check_identity_flags(&figure.spec(&plain), &plain).is_ok());
+            assert!(plain.check(Some(&figure.spec(&plain))).is_ok());
         }
     }
 

@@ -3,8 +3,8 @@
 //! the sample budget).
 
 use super::{
-    single_panel, take_table, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState,
-    RenderedFigure, ShardRun,
+    single_panel, take_table, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -87,7 +87,6 @@ impl FigureDef for Table1Def {
             benchmarks: Vec::new(),
             image: None,
             kind_law: None,
-            kernel: None,
         }
     }
 
@@ -95,10 +94,9 @@ impl FigureDef for Table1Def {
         vec!["table1".to_owned()]
     }
 
-    fn run_shard_tuned(
+    fn run_shard(
         &self,
         spec: &FigureSpec,
-        _tuning: EngineTuning,
         _parallelism: Parallelism,
         _shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {

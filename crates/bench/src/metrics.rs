@@ -5,10 +5,10 @@
 //! JSON lives here: [`snapshot_to_json`]/[`snapshot_from_json`] round-trip a
 //! [`MetricsSnapshot`] exactly (counters, histogram buckets and stage clocks
 //! are stored as integers), [`ShardMetrics`] is the one telemetry section a
-//! shard checkpoint carries (wall/generation clocks, kernel identity, the
-//! `--auto-threshold` override and the snapshot — the fields that used to be
-//! four ad-hoc top-level checkpoint entries), and [`metrics_report`] renders
-//! the aggregated `--metrics` output document with its derived rates.
+//! shard checkpoint carries (wall/generation clocks and the snapshot — the
+//! fields that used to be ad-hoc top-level checkpoint entries), and
+//! [`metrics_report`] renders the aggregated `--metrics` output document
+//! with its derived rates.
 //!
 //! # Determinism
 //!
@@ -158,12 +158,12 @@ pub struct ShardMetrics {
     /// CPU seconds spent generating fault maps, summed across worker
     /// threads (can exceed `elapsed_seconds` at worker counts above one).
     pub generation_seconds: Option<f64>,
-    /// Name of the evaluation kernel that produced the state (`"sparse"`,
-    /// `"auto:bitsliced256"`, …). Must agree across a shard set — see
-    /// [`crate::shard::ShardState::merge`].
+    /// A fixed slot of the v3 checkpoint format: every writer leaves it
+    /// `None` (kept for the perfbench tracer, see
+    /// [`crate::figures::EngineTuning`]); older checkpoints read back with
+    /// the kernel name they recorded.
     pub kernel: Option<String>,
-    /// The `--auto-threshold` density override the run resolved its `auto`
-    /// kernel with; must also agree across a shard set.
+    /// A fixed slot of the v3 checkpoint format, like `kernel`.
     pub auto_threshold: Option<f64>,
     /// The observability snapshot the run recorded, when a recorder was
     /// installed (see [`faultmit_obs::install`]); `None` for runs without
@@ -254,18 +254,10 @@ impl ShardMetrics {
     }
 
     /// Folds another shard's telemetry into this one (cross-shard
-    /// aggregation): clocks and snapshots **sum**, the kernel/threshold
-    /// identity is kept from whichever shard recorded it (callers validate
-    /// agreement first — see [`crate::shard::ShardState::merge`]).
+    /// aggregation): clocks and snapshots **sum**.
     pub fn absorb(&mut self, other: &ShardMetrics) {
         self.elapsed_seconds = sum_opt(self.elapsed_seconds, other.elapsed_seconds);
         self.generation_seconds = sum_opt(self.generation_seconds, other.generation_seconds);
-        if self.kernel.is_none() {
-            self.kernel.clone_from(&other.kernel);
-        }
-        if self.auto_threshold.is_none() {
-            self.auto_threshold = other.auto_threshold;
-        }
         match (&mut self.snapshot, &other.snapshot) {
             (Some(into), Some(from)) => into.merge(from),
             (None, Some(from)) => self.snapshot = Some(*from),
@@ -282,8 +274,8 @@ fn sum_opt(a: Option<f64>, b: Option<f64>) -> Option<f64> {
 }
 
 /// Renders the `--metrics` output document: the aggregated telemetry plus
-/// the derived rates operators actually read (wide-generation lane
-/// utilisation, `observe_block` fallback rate, per-stage time split).
+/// the derived rates operators actually read (per-stage time split and
+/// samples per second).
 #[must_use]
 pub fn metrics_report(metrics: &ShardMetrics) -> JsonValue {
     let snapshot = metrics.snapshot.unwrap_or_default();
@@ -301,10 +293,6 @@ pub fn metrics_report(metrics: &ShardMetrics) -> JsonValue {
             })
             .collect(),
     );
-    let optional_rate = |rate: Option<f64>| match rate {
-        None => JsonValue::Null,
-        Some(rate) => JsonValue::Number(rate),
-    };
     let samples = snapshot.counter(Counter::SamplesEvaluated);
     let samples_per_second = match metrics.elapsed_seconds {
         Some(seconds) if seconds > 0.0 && samples > 0 => {
@@ -319,14 +307,6 @@ pub fn metrics_report(metrics: &ShardMetrics) -> JsonValue {
             "derived",
             JsonValue::object([
                 ("stage_seconds", stage_split),
-                (
-                    "widegen_lane_utilisation",
-                    optional_rate(snapshot.wide_lane_utilisation()),
-                ),
-                (
-                    "observe_fallback_rate",
-                    optional_rate(snapshot.observe_fallback_rate()),
-                ),
                 ("samples_per_second", samples_per_second),
             ]),
         ),
@@ -400,8 +380,8 @@ mod tests {
         let metrics = ShardMetrics {
             elapsed_seconds: Some(2.5),
             generation_seconds: Some(0.75),
-            kernel: Some("auto:sparse".to_owned()),
-            auto_threshold: Some(0.0625),
+            kernel: Some("sparse".to_owned()),
+            auto_threshold: None,
             snapshot: Some(populated_snapshot()),
         };
         let text = metrics.to_json().to_pretty_string();
@@ -410,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sums_clocks_and_snapshots_and_keeps_the_kernel_identity() {
+    fn absorb_sums_clocks_and_snapshots() {
         let mut a = ShardMetrics {
             elapsed_seconds: Some(1.0),
             generation_seconds: None,
@@ -421,15 +401,13 @@ mod tests {
         let b = ShardMetrics {
             elapsed_seconds: Some(2.0),
             generation_seconds: Some(0.5),
-            kernel: Some("sparse".to_owned()),
-            auto_threshold: Some(0.25),
+            kernel: None,
+            auto_threshold: None,
             snapshot: Some(populated_snapshot()),
         };
         a.absorb(&b);
         assert_eq!(a.elapsed_seconds, Some(3.0));
         assert_eq!(a.generation_seconds, Some(0.5));
-        assert_eq!(a.kernel.as_deref(), Some("sparse"));
-        assert_eq!(a.auto_threshold, Some(0.25));
         let merged = a.snapshot.unwrap();
         let single = populated_snapshot();
         for (&counter, _) in Counter::ALL.iter().zip(0..) {
@@ -444,11 +422,9 @@ mod tests {
     #[test]
     fn metrics_report_carries_the_derived_rates() {
         let mut snapshot = MetricsSnapshot::default();
-        snapshot.counters[Counter::WideGenLaneSteps as usize] = 100;
-        snapshot.counters[Counter::WideGenLanesActive as usize] = 80;
-        snapshot.counters[Counter::ObserveBlockRows as usize] = 90;
-        snapshot.counters[Counter::ObserveFallbackRows as usize] = 10;
         snapshot.counters[Counter::SamplesEvaluated as usize] = 500;
+        snapshot.stage_nanos[Stage::Observe as usize] = 1_500_000_000;
+        snapshot.stage_calls[Stage::Observe as usize] = 3;
         let report = metrics_report(&ShardMetrics {
             elapsed_seconds: Some(2.0),
             snapshot: Some(snapshot),
@@ -459,31 +435,26 @@ mod tests {
             Some(METRICS_REPORT_FORMAT)
         );
         let derived = report.get("derived").unwrap();
+        let observe = derived
+            .get("stage_seconds")
+            .unwrap()
+            .get("observe")
+            .unwrap();
         assert_eq!(
-            derived
-                .get("widegen_lane_utilisation")
-                .and_then(JsonValue::as_f64),
-            Some(0.8)
+            observe.get("seconds").and_then(JsonValue::as_f64),
+            Some(1.5)
         );
-        assert_eq!(
-            derived
-                .get("observe_fallback_rate")
-                .and_then(JsonValue::as_f64),
-            Some(0.1)
-        );
+        assert_eq!(observe.get("calls").and_then(JsonValue::as_u64), Some(3));
         assert_eq!(
             derived
                 .get("samples_per_second")
                 .and_then(JsonValue::as_f64),
             Some(250.0)
         );
-        // No lane steps → no utilisation claim.
+        // No clock → no throughput claim.
         let empty = metrics_report(&ShardMetrics::default());
         assert!(matches!(
-            empty
-                .get("derived")
-                .unwrap()
-                .get("widegen_lane_utilisation"),
+            empty.get("derived").unwrap().get("samples_per_second"),
             Some(JsonValue::Null)
         ));
     }

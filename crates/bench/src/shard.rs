@@ -91,13 +91,11 @@ pub struct ShardState {
     pub shard: ShardSpec,
     /// Per-panel state, in panel order.
     pub panels: Vec<ShardPanelState>,
-    /// The shard's telemetry section — wall/generation clocks, kernel
-    /// identity, the `--auto-threshold` override and the observability
-    /// snapshot (see [`ShardMetrics`]). Never part of the campaign
-    /// identity: panel states (and the rendered figure JSON) are
+    /// The shard's telemetry section — wall/generation clocks and the
+    /// observability snapshot (see [`ShardMetrics`]). Never part of the
+    /// campaign identity: panel states (and the rendered figure JSON) are
     /// byte-identical whatever this records. [`ShardState::merge`]
-    /// validates the kernel/threshold identity across a shard set and
-    /// **aggregates** the rest (clocks and snapshots sum).
+    /// **aggregates** it across a shard set (clocks and snapshots sum).
     pub metrics: ShardMetrics,
 }
 
@@ -121,18 +119,6 @@ impl ShardState {
     #[must_use]
     pub fn generation_seconds(&self) -> Option<f64> {
         self.metrics.generation_seconds
-    }
-
-    /// Name of the evaluation kernel that produced this state.
-    #[must_use]
-    pub fn kernel(&self) -> Option<&str> {
-        self.metrics.kernel.as_deref()
-    }
-
-    /// The `--auto-threshold` override the producing run resolved with.
-    #[must_use]
-    pub fn auto_threshold(&self) -> Option<f64> {
-        self.metrics.auto_threshold
     }
 
     /// Serialises the state to the shard-file document.
@@ -250,8 +236,7 @@ impl ShardState {
     /// merged ascending, which reproduces the monolithic chunk-order
     /// reduction bit for bit. Validation requires one shard for every index
     /// `0..shard_count`, a common figure spec, identical panel
-    /// labels/catalogues and an agreeing [`ShardState::kernel`] wherever
-    /// recorded — and reports **every** missing, duplicated or mismatched
+    /// labels/catalogues — and reports **every** missing, duplicated or mismatched
     /// shard index of the K-set in one error instead of failing on the
     /// first bad file.
     ///
@@ -281,28 +266,6 @@ impl ShardState {
         // message names exactly which indices are missing or mismatched.
         let mut spec_mismatches: Vec<String> = Vec::new();
         let mut panel_mismatches: Vec<String> = Vec::new();
-        // `--kernel auto` resolves per campaign, so every shard of a set
-        // must record the same kernel; a disagreement means the shards were
-        // produced by runs with different flags (or different auto
-        // resolutions) and their throughput telemetry is not comparable.
-        // Legacy checkpoints without the field merge with anything.
-        let mut kernels: Vec<String> = shards
-            .iter()
-            .filter_map(|shard| shard.metrics.kernel.clone())
-            .collect();
-        kernels.sort();
-        kernels.dedup();
-        // The auto-threshold override can flip which kernel `auto` resolves
-        // to, so the same consistency argument applies: shards recording
-        // different thresholds were produced with inconsistent flags.
-        // Compared by bit pattern — the threshold is recorded verbatim, so
-        // exact equality is the right notion.
-        let mut thresholds: Vec<u64> = shards
-            .iter()
-            .filter_map(|shard| shard.metrics.auto_threshold.map(f64::to_bits))
-            .collect();
-        thresholds.sort_unstable();
-        thresholds.dedup();
         let labels: Vec<(String, &'static str)> = first
             .panels
             .iter()
@@ -352,8 +315,6 @@ impl ShardState {
             && panel_mismatches.is_empty()
             && missing.is_empty()
             && duplicated.is_empty()
-            && kernels.len() <= 1
-            && thresholds.len() <= 1
             && shards.len() == shard_count)
         {
             let mut problems = Vec::new();
@@ -380,26 +341,6 @@ impl ShardState {
                     panel_mismatches.join(", ")
                 ));
             }
-            if kernels.len() > 1 {
-                problems.push(format!(
-                    "shards disagree on the evaluation kernel ({})",
-                    kernels
-                        .iter()
-                        .map(|kernel| format!("'{kernel}'"))
-                        .collect::<Vec<_>>()
-                        .join(" vs ")
-                ));
-            }
-            if thresholds.len() > 1 {
-                problems.push(format!(
-                    "shards disagree on the auto-kernel threshold ({})",
-                    thresholds
-                        .iter()
-                        .map(|&bits| format!("{}", f64::from_bits(bits)))
-                        .collect::<Vec<_>>()
-                        .join(" vs ")
-                ));
-            }
             if problems.is_empty() {
                 problems.push(format!(
                     "{} file(s) provided for a {shard_count}-shard campaign",
@@ -421,9 +362,7 @@ impl ShardState {
             }
             // Telemetry aggregates across the set: clocks and snapshots
             // sum (counter sums are the monolithic run's counters, since
-            // every chunk's contribution lands in exactly one shard); the
-            // kernel/threshold identity was validated consistent above and
-            // is kept.
+            // every chunk's contribution lands in exactly one shard).
             merged.metrics.absorb(&shard.metrics);
         }
         merged.shard = ShardSpec::solo();
@@ -922,7 +861,7 @@ mod tests {
             }],
             metrics: ShardMetrics {
                 elapsed_seconds: Some(0.25 + index as f64),
-                kernel: Some("sparse".to_owned()),
+                kernel: None,
                 generation_seconds: Some(0.125 + index as f64 * 0.5),
                 auto_threshold: None,
                 snapshot: None,
@@ -980,16 +919,12 @@ mod tests {
     #[test]
     fn elapsed_telemetry_round_trips_and_is_optional() {
         // Telemetry survives the round trip…
-        let mut state = shard_with(1, 3, &[7.5]);
-        state.metrics.auto_threshold = Some(0.0625);
+        let state = shard_with(1, 3, &[7.5]);
         assert_eq!(state.elapsed_seconds(), Some(1.25));
-        assert_eq!(state.kernel(), Some("sparse"));
         assert_eq!(state.generation_seconds(), Some(0.625));
         let round = ShardState::parse(&state.to_json().to_pretty_string()).unwrap();
         assert_eq!(round.elapsed_seconds(), Some(1.25));
-        assert_eq!(round.kernel(), Some("sparse"));
         assert_eq!(round.generation_seconds(), Some(0.625));
-        assert_eq!(round.auto_threshold(), Some(0.0625));
         // …and files without the `metrics` section parse as empty metrics.
         let mut document = state.to_json();
         if let JsonValue::Object(fields) = &mut document {
@@ -998,7 +933,6 @@ mod tests {
         let legacy = ShardState::from_json(&document).unwrap();
         assert!(legacy.metrics.is_empty());
         assert_eq!(legacy.elapsed_seconds(), None);
-        assert_eq!(legacy.kernel(), None);
         assert!(legacy.matches(&spec(), ShardSpec::new(1, 3).unwrap()));
     }
 
@@ -1082,10 +1016,8 @@ mod tests {
         ])
         .unwrap();
         assert!(merged.shard.is_solo());
-        // Telemetry aggregates: clocks sum across the set, the validated
-        // kernel identity is kept.
+        // Telemetry aggregates: clocks sum across the set.
         assert_eq!(merged.elapsed_seconds(), Some(0.25 + 1.25 + 2.25));
-        assert_eq!(merged.kernel(), Some("sparse"));
         assert_eq!(merged.generation_seconds(), Some(0.125 + 0.625 + 1.125));
         let PanelState::Catalogue { accumulator, .. } = &merged.panels[0].state else {
             panic!("expected catalogue state");
@@ -1095,70 +1027,6 @@ mod tests {
             .map(|(v, _)| v)
             .collect();
         assert_eq!(values, vec![1.0, 2.0, 3.0, 5.0]);
-    }
-
-    #[test]
-    fn merge_verifies_kernel_consistency_across_the_shard_set() {
-        // A disagreeing kernel is a re-sharded campaign with different
-        // flags (or inconsistent auto resolutions) — refuse, naming both.
-        let mut wide = shard_with(1, 2, &[2.0]);
-        wide.metrics.kernel = Some("auto:bitsliced256".to_owned());
-        let mut sparse = shard_with(0, 2, &[1.0]);
-        sparse.metrics.kernel = Some("auto:sparse".to_owned());
-        let error = ShardState::merge(vec![sparse, wide]).unwrap_err();
-        assert!(
-            error.reason.contains(
-                "shards disagree on the evaluation kernel \
-                 ('auto:bitsliced256' vs 'auto:sparse')"
-            ),
-            "{error}"
-        );
-
-        // Legacy checkpoints without the field merge with anything (the
-        // shard that did record a kernel supplies the merged identity)…
-        let mut legacy = shard_with(0, 2, &[1.0]);
-        legacy.metrics.kernel = None;
-        let merged = ShardState::merge(vec![legacy, shard_with(1, 2, &[2.0])]).unwrap();
-        assert_eq!(merged.kernel(), Some("sparse"));
-
-        // …and an agreeing auto resolution merges like any fixed kernel.
-        let mut a = shard_with(0, 2, &[1.0]);
-        let mut b = shard_with(1, 2, &[2.0]);
-        a.metrics.kernel = Some("auto:sparse".to_owned());
-        b.metrics.kernel = Some("auto:sparse".to_owned());
-        let merged = ShardState::merge(vec![a, b]).unwrap();
-        assert_eq!(merged.kernel(), Some("auto:sparse"));
-    }
-
-    #[test]
-    fn merge_verifies_auto_threshold_consistency_across_the_shard_set() {
-        // Different recorded thresholds mean the campaign was re-sharded
-        // with inconsistent --auto-threshold flags — refuse, naming both.
-        let mut a = shard_with(0, 2, &[1.0]);
-        let mut b = shard_with(1, 2, &[2.0]);
-        a.metrics.auto_threshold = Some(0.0625);
-        b.metrics.auto_threshold = Some(0.25);
-        let error = ShardState::merge(vec![a, b]).unwrap_err();
-        assert!(
-            error
-                .reason
-                .contains("disagree on the auto-kernel threshold (0.0625 vs 0.25)"),
-            "{error}"
-        );
-
-        // Legacy checkpoints without the field merge with anything, and an
-        // agreeing override merges — keeping the validated threshold.
-        let mut a = shard_with(0, 2, &[1.0]);
-        let mut b = shard_with(1, 2, &[2.0]);
-        a.metrics.auto_threshold = Some(0.0625);
-        b.metrics.auto_threshold = Some(0.0625);
-        let merged = ShardState::merge(vec![a, b]).unwrap();
-        assert_eq!(merged.auto_threshold(), Some(0.0625));
-        let mut legacy = shard_with(0, 2, &[1.0]);
-        legacy.metrics.auto_threshold = None;
-        let mut tuned = shard_with(1, 2, &[2.0]);
-        tuned.metrics.auto_threshold = Some(0.5);
-        assert!(ShardState::merge(vec![legacy, tuned]).is_ok());
     }
 
     #[test]

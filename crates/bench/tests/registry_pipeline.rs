@@ -198,32 +198,27 @@ fn campaign_run_reuses_checkpoints_and_recovers_a_corrupted_shard() {
     assert_eq!(read(&mono), read(&merged));
 }
 
-/// A monolithic `--metrics` report names the kernel the campaign ran —
-/// also on a default run without `--kernel` — keeps `null` for figures
-/// without one, and times render and serialisation without moving a byte
-/// of the figure JSON.
+/// A monolithic `--metrics` report keeps the `kernel` telemetry slot
+/// `null` (`sparse` is the one kernel) and times render and serialisation
+/// without moving a byte of the figure JSON.
 #[test]
-fn monolithic_metrics_report_names_the_kernel_and_times_render() {
+fn monolithic_metrics_report_times_render() {
     use faultmit_bench::json::JsonValue;
     let dir = TempDir::new("metrics");
-    let cases: [(&str, &[&str], Option<&str>); 3] = [
+    // (binary, flags, whether the render makes yield queries)
+    let cases: [(&str, &[&str], bool); 2] = [
         (
             env!("CARGO_BIN_EXE_fig5_mse_cdf"),
             &["--samples", "2"],
-            Some("sparse"),
-        ),
-        (
-            env!("CARGO_BIN_EXE_fig5_mse_cdf"),
-            &["--samples", "2", "--kernel", "auto"],
-            Some("auto:sparse"),
+            true,
         ),
         (
             env!("CARGO_BIN_EXE_table1_applications"),
             &["--samples", "32"],
-            None,
+            false,
         ),
     ];
-    for (i, (binary, flags, kernel)) in cases.into_iter().enumerate() {
+    for (i, (binary, flags, yields)) in cases.into_iter().enumerate() {
         let (off, on, metrics) = (
             dir.join(&format!("off-{i}.json")),
             dir.join(&format!("on-{i}.json")),
@@ -243,11 +238,7 @@ fn monolithic_metrics_report_names_the_kernel_and_times_render() {
 
         let report = JsonValue::parse(&read(&metrics)).unwrap();
         let telemetry = report.get("telemetry").unwrap();
-        assert_eq!(
-            telemetry.get("kernel").and_then(JsonValue::as_str),
-            kernel,
-            "{flags:?}"
-        );
+        assert_eq!(telemetry.get("kernel"), Some(&JsonValue::Null), "{flags:?}");
         let stages = report.get("derived").unwrap().get("stage_seconds").unwrap();
         for stage in ["render", "serialize"] {
             let calls = stages.get(stage).and_then(|s| s.get("calls"));
@@ -264,7 +255,7 @@ fn monolithic_metrics_report_names_the_kernel_and_times_render() {
             .and_then(JsonValue::as_u64)
             .unwrap();
         // fig5 renders yield bands; table1 makes no yield query.
-        assert_eq!(visited > 0, kernel.is_some(), "{flags:?}: {visited}");
+        assert_eq!(visited > 0, yields, "{flags:?}: {visited}");
     }
 }
 
@@ -345,4 +336,77 @@ fn merge_errors_enumerate_missing_shard_indices() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("missing shard(s) [1, 2]"), "{stderr}");
     assert!(stderr.contains("4-shard set"), "{stderr}");
+}
+
+/// A malformed campaign-shaping value, a removed kernel flag, or a
+/// `--backend` the figure does not evaluate is fatal at every entry point
+/// — the monolithic figure binaries, `fig2_pcell_vs_vdd`, `campaign_shard`
+/// and `campaign_run` — instead of silently running a different campaign.
+/// Every case writes nothing.
+#[test]
+fn malformed_or_unsupported_flags_fail_every_entry_point() {
+    let dir = TempDir::new("bad-flags");
+    let out = dir.join("out.json");
+    let checkpoints = dir.join("shards");
+    let fig = |name| match name {
+        "fig2" => env!("CARGO_BIN_EXE_fig2_pcell_vs_vdd"),
+        other => CATALOGUE
+            .iter()
+            .find(|(figure, ..)| *figure == other)
+            .map(|(_, binary, ..)| *binary)
+            .unwrap(),
+    };
+    let cases: Vec<(&str, Vec<&str>, &str)> = vec![
+        (
+            fig("fig9"),
+            vec!["--backend", "flash", "--samples", "2"],
+            "unknown backend 'flash'",
+        ),
+        (
+            RUN_BIN,
+            vec!["--figure", "fig5", "--samples", "1O", "--shards", "2"],
+            "invalid --samples value '1O'",
+        ),
+        (
+            fig("fig2"),
+            vec!["--backend", "dram", "--t-ref-ns", "abc"],
+            "invalid --t-ref-ns value 'abc'",
+        ),
+        (
+            fig("fig5"),
+            vec!["--samples", "0"],
+            "invalid --samples value '0'",
+        ),
+        (
+            fig("fig5"),
+            vec!["--samples", "2", "--kernel", "sparse"],
+            "--kernel was removed",
+        ),
+        (
+            fig("fig5"),
+            vec!["--samples", "2", "--auto-threshold", "0.1"],
+            "--auto-threshold was removed",
+        ),
+        (
+            SHARD_BIN,
+            vec!["--figure", "fig4", "--backend", "dram", "--shard", "0/2"],
+            "does not support --backend",
+        ),
+    ];
+    let backendless = ["fig4", "fig6", "table1", "ablation_lut_write_path"].map(|name| {
+        (
+            fig(name),
+            vec!["--backend", "dram"],
+            "does not support --backend",
+        )
+    });
+    for (binary, mut args, needle) in cases.into_iter().chain(backendless) {
+        args.extend(["--out", &out, "--dir", &checkpoints]);
+        let output = Command::new(binary).args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{binary} {args:?} exited 0");
+        assert!(stderr.contains(needle), "{binary} {args:?}: {stderr}");
+        assert!(!Path::new(&out).exists(), "{binary} {args:?} wrote {out}");
+        assert!(!Path::new(&checkpoints).exists(), "{binary} {args:?}");
+    }
 }

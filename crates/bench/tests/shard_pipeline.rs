@@ -270,26 +270,33 @@ fn merge_rejects_mismatched_or_incomplete_shard_sets() {
     assert!(!status.status.success());
 }
 
-/// A v3 checkpoint written before the `scalar` and 64-die `bitsliced`
-/// kernels were removed: its metrics snapshot still carries the
-/// `dispatch_scalar` and `dispatch_bitsliced` counters. It must keep
-/// loading — the snapshot reader takes only the counters it knows — and its
-/// panel state must still equal a fresh evaluation of the same shard. It
-/// also predates the `render`/`serialize` stages and the
-/// `yield_observations_visited` counter, which must read as zero.
+/// A v3 checkpoint written while the block kernels still existed: its spec
+/// names the `sparse` kernel, and its metrics snapshot carries the
+/// since-deleted `dispatch_*`, `widegen_*` and `observe_*` counters and the
+/// `transpose` stage. It must keep loading — the snapshot reader takes only
+/// the counters it knows — and its panel state must still equal a fresh
+/// evaluation of the same shard. It also predates the `render`/`serialize`
+/// stages and the `yield_observations_visited` counter, which must read as
+/// zero.
 #[test]
 fn v3_checkpoints_with_removed_dispatch_counters_still_load() {
-    use faultmit_bench::figures::{find_figure, EngineTuning};
+    use faultmit_bench::figures::find_figure;
     use faultmit_obs::{Counter, Stage};
     let text = read(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/fig5-sparse-v3-0of8.json"
     ));
-    assert!(text.contains("\"dispatch_scalar\"") && text.contains("\"dispatch_bitsliced\""));
+    for removed in [
+        "dispatch_scalar",
+        "dispatch_sparse",
+        "widegen_chunks",
+        "transpose",
+    ] {
+        assert!(text.contains(&format!("\"{removed}\"")), "{removed}");
+    }
     let state = faultmit_bench::shard::ShardState::parse(&text).unwrap();
-    assert_eq!(state.kernel(), Some("sparse"));
+    assert_eq!(state.metrics.kernel.as_deref(), Some("sparse"));
     let snapshot = state.metrics.snapshot.as_ref().unwrap();
-    assert_eq!(snapshot.counter(Counter::DispatchSparse), 1);
     // Shard 0/8 of this 24-sample campaign owns no chunk: its panel is the
     // empty catalogue state.
     assert_eq!(snapshot.counter(Counter::SamplesEvaluated), 0);
@@ -302,13 +309,55 @@ fn v3_checkpoints_with_removed_dispatch_counters_still_load() {
 
     let run = find_figure("fig5")
         .unwrap()
-        .run_shard_tuned(
-            &state.spec,
-            EngineTuning::default(),
-            faultmit_sim::Parallelism::Serial,
-            state.shard,
-        )
+        .run_shard(&state.spec, faultmit_sim::Parallelism::Serial, state.shard)
         .unwrap();
     let panels: Vec<_> = state.panels.into_iter().map(|panel| panel.state).collect();
     assert_eq!(panels, run.panels);
+}
+
+/// The default fig9 campaign spec as every v3 checkpoint carries it; the
+/// trailing `"kernel": null` is a fixed slot of the format.
+const DEFAULT_FIG9_SPEC: &str = r#"{
+  "figure": "fig9",
+  "backend": null,
+  "full_scale": false,
+  "samples_per_count": 30,
+  "benchmarks": [],
+  "image": null,
+  "kind_law": null,
+  "kernel": null
+}"#;
+
+fn default_fig9_spec() -> faultmit_bench::figures::FigureSpec {
+    faultmit_bench::figures::find_figure("fig9")
+        .unwrap()
+        .spec(&faultmit_bench::RunOptions::default())
+}
+
+#[test]
+fn the_default_fig9_spec_serialises_to_the_pinned_v3_bytes() {
+    assert_eq!(
+        default_fig9_spec().to_json().to_pretty_string(),
+        DEFAULT_FIG9_SPEC
+    );
+}
+
+/// The v3 `kernel` slot: `null` and `"sparse"` load as today's spec; a
+/// checkpoint naming a removed kernel asks to be recomputed.
+#[test]
+fn the_v3_kernel_slot_loads_sparse_and_rejects_removed_kernels() {
+    use faultmit_bench::figures::FigureSpec;
+    use faultmit_bench::json::JsonValue;
+    let with_kernel = |kernel: &str| {
+        let text = DEFAULT_FIG9_SPEC.replace("\"kernel\": null", &format!("\"kernel\": {kernel}"));
+        FigureSpec::from_json(&JsonValue::parse(&text).unwrap())
+    };
+    assert_eq!(with_kernel("null").unwrap(), default_fig9_spec());
+    assert_eq!(with_kernel("\"sparse\"").unwrap(), default_fig9_spec());
+    for removed in ["bitsliced256", "auto"] {
+        assert_eq!(
+            with_kernel(&format!("\"{removed}\"")).unwrap_err(),
+            format!("kernel '{removed}' was removed; recompute this checkpoint")
+        );
+    }
 }

@@ -18,11 +18,8 @@ use crate::error::CoreError;
 use crate::fmlut::FmLut;
 use crate::segment::SegmentGeometry;
 use crate::shifter::{rotate_left, rotate_right};
-use faultmit_ecc::{HammingSecded, LaneCounter, SecdedCode};
-use faultmit_memsim::{
-    corrupt_word, die_row_faults, Fault, FaultMap, LaneCell, ResidualLanes, W256,
-};
-use faultmit_obs as obs;
+use faultmit_ecc::{HammingSecded, SecdedCode};
+use faultmit_memsim::{corrupt_word, Fault, FaultMap};
 
 /// The word an application observes after a faulty read, plus whether the
 /// protection scheme still vouches for it.
@@ -93,33 +90,6 @@ pub trait MitigationScheme {
         None
     }
 
-    /// Lane-parallel (bit-sliced) evaluation of one faulty row across up to
-    /// 256 dies packed into [`W256`] lanes.
-    ///
-    /// `cells` is one row's transposed lane cells, sorted by ascending
-    /// column — what a [`DieBlock`](faultmit_memsim::DieBlock) row carries.
-    /// When a scheme answers `true` it has OR-ed, for every die `j` of the
-    /// block and every data bit `c`, bit `j` into lane `c` of `residual`
-    /// exactly when `observe` on die `j`'s map would deliver a value whose
-    /// bit `c` differs from `written` — i.e.
-    /// [`ResidualLanes::gather_die`]`(j)` equals `written ^ observed.value`.
-    /// `false` means the scheme has no block path and the caller must fall
-    /// back to per-die evaluation; the default always falls back, so custom
-    /// schemes stay correct without opting in — the block kernel then
-    /// rebuilds each dirty die's row faults and evaluates them through
-    /// [`MitigationScheme::observe_sparse`], or through
-    /// [`MitigationScheme::observe`] on a map holding only that row when
-    /// the scheme has no sparse path either.
-    fn observe_block(
-        &self,
-        cells: &[LaneCell],
-        written: u64,
-        residual: &mut ResidualLanes,
-    ) -> bool {
-        let _ = (cells, written, residual);
-        false
-    }
-
     /// Worst-case error magnitude caused by a single fault at data bit
     /// position `bit` (0 when the scheme corrects such a fault).
     fn worst_case_error_magnitude(&self, bit: usize) -> u64;
@@ -144,15 +114,6 @@ impl<T: MitigationScheme + ?Sized> MitigationScheme for &T {
 
     fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> Option<ObservedWord> {
         (**self).observe_sparse(row_faults, written)
-    }
-
-    fn observe_block(
-        &self,
-        cells: &[LaneCell],
-        written: u64,
-        residual: &mut ResidualLanes,
-    ) -> bool {
-        (**self).observe_block(cells, written, residual)
     }
 
     fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
@@ -280,17 +241,6 @@ impl Scheme {
             (((1u64 << protected_bits) - 1) << unprotected_bits) & ((1u64 << word_bits) - 1)
         }
     }
-}
-
-/// The *observable-error* lane of one transposed cell: bit `j` set ⇔ die
-/// `j`'s read of `stored` at this cell's column differs from `stored` — a
-/// bit-flip always corrupts, a stuck cell only when its stuck value differs
-/// from the stored bit.
-#[inline]
-fn lane_observable_error(cell: &LaneCell, stored: u64) -> W256 {
-    // Broadcast the stored bit to every die lane (all-ones iff the bit is 1).
-    let stored_lane = W256::splat(0u64.wrapping_sub((stored >> cell.col) & 1));
-    cell.flips | (cell.stuck & (cell.stuck_value ^ stored_lane))
 }
 
 impl MitigationScheme for Scheme {
@@ -457,125 +407,6 @@ impl MitigationScheme for Scheme {
         })
     }
 
-    fn observe_block(
-        &self,
-        cells: &[LaneCell],
-        written: u64,
-        residual: &mut ResidualLanes,
-    ) -> bool {
-        match self {
-            Scheme::Unprotected { .. } => {
-                // Every observable error reaches the application unchanged.
-                for cell in cells {
-                    residual.accumulate(cell.col as usize, lane_observable_error(cell, written));
-                }
-            }
-            Scheme::Secded { .. } => {
-                // Every die's syndrome weight at once: a carry-save fold
-                // over the per-column error lanes answers "two or more
-                // observable errors?" per die; only those dies keep their
-                // corruption.
-                let mut counter = LaneCounter::new();
-                for cell in cells {
-                    counter.add(lane_observable_error(cell, written));
-                }
-                let uncorrectable = counter.at_least_two();
-                if !uncorrectable.is_zero() {
-                    for cell in cells {
-                        residual.accumulate(
-                            cell.col as usize,
-                            lane_observable_error(cell, written) & uncorrectable,
-                        );
-                    }
-                }
-            }
-            Scheme::PriorityEcc {
-                word_bits,
-                protected_bits,
-            } => {
-                // The correction radius only counts protected-MSB errors;
-                // LSB errors always pass through.
-                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
-                let mut counter = LaneCounter::new();
-                for cell in cells {
-                    if (msb_mask >> cell.col) & 1 == 1 {
-                        counter.add(lane_observable_error(cell, written));
-                    }
-                }
-                let uncorrectable = counter.at_least_two();
-                for cell in cells {
-                    let err = lane_observable_error(cell, written);
-                    let lane = if (msb_mask >> cell.col) & 1 == 1 {
-                        err & uncorrectable
-                    } else {
-                        err
-                    };
-                    residual.accumulate(cell.col as usize, lane);
-                }
-            }
-            Scheme::BitShuffle(geometry) => {
-                let word_bits = geometry.word_bits();
-                // The FM-LUT vote keys on fault *presence* (BIST sees stuck
-                // cells whether or not the stored data exposes them).
-                let mut presence = LaneCounter::new();
-                for cell in cells {
-                    presence.add(cell.presence());
-                }
-                let singles = presence.exactly_one();
-                let multi = presence.at_least_two();
-                if !singles.is_zero() {
-                    // A single-fault die shifts by its fault's segment, and
-                    // its residual can only surface at its own faulty cell
-                    // (its presence lane is zero everywhere else). One pass
-                    // therefore serves every single-fault die: the cell's
-                    // column fixes the segment — and thus the shift — for
-                    // all dies voting on it at once.
-                    for cell in cells {
-                        let group = cell.presence() & singles;
-                        if group.is_zero() {
-                            continue;
-                        }
-                        let shift = geometry
-                            .shift_amount(geometry.segment_of_bit(cell.col as usize))
-                            .expect("segment_of_bit returns a valid segment index");
-                        let stored = rotate_right(written, shift, word_bits);
-                        // A physical error at column c surfaces at data
-                        // position (c + shift) mod W after the un-rotate.
-                        let lane = lane_observable_error(cell, stored) & group;
-                        if !lane.is_zero() {
-                            let data_pos = (cell.col as usize + shift) & (word_bits - 1);
-                            residual.accumulate(data_pos, lane);
-                        }
-                    }
-                }
-                if !multi.is_zero() {
-                    // Dies with several faulty cells in the row are rare at
-                    // campaign densities; rebuild their sorted fault slice
-                    // on the stack and reuse the scalar sparse path.
-                    let mut scratch = [Fault::bit_flip(0, 0); 64];
-                    let mut fallback_dies = 0u64;
-                    multi.for_each_die(|die| {
-                        fallback_dies += 1;
-                        // The sparse path reads only columns and kinds, so
-                        // the row index is immaterial.
-                        let faults = die_row_faults(cells, 0, die, &mut scratch);
-                        let observed = self
-                            .observe_sparse(faults, written)
-                            .expect("a word has at most 64 columns");
-                        let mut diff = written ^ observed.value;
-                        while diff != 0 {
-                            let col = diff.trailing_zeros() as usize;
-                            diff &= diff - 1;
-                            residual.accumulate(col, W256::lane_bit(die));
-                        }
-                    });
-                    obs::count(obs::Counter::ObserveFallbackDies, fallback_dies);
-                }
-            }
-        }
-        true
-    }
-
     fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
         match self {
             Scheme::Unprotected { word_bits } => {
@@ -618,7 +449,7 @@ impl MitigationScheme for Scheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultmit_memsim::{Fault, FaultKind, MemoryConfig};
+    use faultmit_memsim::{Fault, MemoryConfig};
 
     fn map(faults: &[Fault]) -> FaultMap {
         let config = MemoryConfig::new(16, 32).unwrap();
@@ -845,127 +676,6 @@ mod tests {
                 reliable: true
             })
         );
-    }
-
-    #[test]
-    fn observe_block_matches_observe_sparse_for_every_scheme() {
-        // Build a 256-die row population with a deterministic LCG,
-        // transpose it into lane cells by hand, and require the residual of
-        // every die to equal `written ^ observe_sparse(...).value` bit for
-        // bit — covering single-fault dies, fault-heavy dies, silent stuck
-        // cells and fault-free dies in the same block. Dies 64.. live in the
-        // upper W256 words, so every lane fold must cross u64 word
-        // boundaries without mixing dies.
-        let mut state = 0x51DE_B10Cu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let mut schemes = Scheme::fig5_catalogue();
-        schemes.push(Scheme::secded32());
-        for round in 0..4u64 {
-            // Die j gets j % 5 faults (die 0 stays fault-free on purpose).
-            let mut dies: Vec<Vec<Fault>> = Vec::new();
-            for die in 0..256usize {
-                let mut faults: Vec<Fault> = Vec::new();
-                for _ in 0..die % 5 {
-                    let col = (next() as usize) % 32;
-                    if faults.iter().any(|f| f.col == col) {
-                        continue;
-                    }
-                    let kind = match next() % 3 {
-                        0 => FaultKind::StuckAtZero,
-                        1 => FaultKind::StuckAtOne,
-                        _ => FaultKind::BitFlip,
-                    };
-                    faults.push(Fault::new(0, col, kind));
-                }
-                faults.sort_by_key(|f| f.col);
-                dies.push(faults);
-            }
-            // Hand-rolled transposition into sorted lane cells.
-            let mut cells: Vec<LaneCell> = Vec::new();
-            for col in 0..32u32 {
-                let mut cell = LaneCell {
-                    col,
-                    flips: W256::ZERO,
-                    stuck: W256::ZERO,
-                    stuck_value: W256::ZERO,
-                };
-                for (die, faults) in dies.iter().enumerate() {
-                    for fault in faults.iter().filter(|f| f.col == col as usize) {
-                        let bit = W256::lane_bit(die);
-                        match fault.kind {
-                            FaultKind::BitFlip => cell.flips |= bit,
-                            FaultKind::StuckAtOne => {
-                                cell.stuck |= bit;
-                                cell.stuck_value |= bit;
-                            }
-                            FaultKind::StuckAtZero => cell.stuck |= bit,
-                        }
-                    }
-                }
-                if !cell.presence().is_zero() {
-                    cells.push(cell);
-                }
-            }
-            for scheme in &schemes {
-                for &written in &[0u64, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x8000_0001] {
-                    let mut residual = ResidualLanes::new();
-                    assert!(scheme.observe_block(&cells, written, &mut residual));
-                    for (die, faults) in dies.iter().enumerate() {
-                        let observed = scheme
-                            .observe_sparse(faults, written)
-                            .expect("catalogue schemes have a sparse path");
-                        assert_eq!(
-                            residual.gather_die(die),
-                            written ^ observed.value,
-                            "round {round}, {}, die {die}, written {written:#x}, faults {faults:?}",
-                            scheme.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn observe_block_default_falls_back() {
-        struct Passthrough;
-        impl MitigationScheme for Passthrough {
-            fn name(&self) -> String {
-                "passthrough".to_owned()
-            }
-            fn word_bits(&self) -> usize {
-                32
-            }
-            fn observe(&self, _: &FaultMap, _: usize, written: u64) -> ObservedWord {
-                ObservedWord::intact(written)
-            }
-            fn worst_case_error_magnitude(&self, _: usize) -> u64 {
-                0
-            }
-            fn extra_bits_per_row(&self) -> usize {
-                0
-            }
-        }
-        let mut residual = ResidualLanes::new();
-        assert!(!Passthrough.observe_block(&[], 0, &mut residual));
-        // The blanket `&T` impl forwards the concrete scheme's block path,
-        // for dies in every backing word.
-        let scheme = Scheme::unprotected32();
-        let by_ref: &dyn MitigationScheme = &scheme;
-        let cell = LaneCell {
-            col: 3,
-            flips: W256::lane_bit(0) | W256::lane_bit(200),
-            stuck: W256::ZERO,
-            stuck_value: W256::ZERO,
-        };
-        assert!((&by_ref).observe_block(&[cell], 0, &mut residual));
-        assert_eq!(residual.gather_die(0), 1 << 3);
-        assert_eq!(residual.gather_die(200), 1 << 3);
     }
 
     #[test]

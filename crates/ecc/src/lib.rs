@@ -12,10 +12,6 @@
 //! * [`EccMemory`] / [`PeccMemory`] — protected memories that couple a codec
 //!   with a faulty [`SramArray`](faultmit_memsim::SramArray) storing the
 //!   widened codewords.
-//! * [`LaneCounter`] — a carry-save popcount saturating at two over
-//!   [`W256`](faultmit_memsim::W256) lanes: the bit-sliced primitive behind
-//!   the whole-block (256 dies at once) SECDED / P-ECC correction-radius
-//!   test of the block evaluation kernel.
 //!
 //! # Example
 //!
@@ -40,13 +36,11 @@
 pub mod code;
 pub mod error;
 pub mod hamming;
-pub mod lanes;
 pub mod memory;
 pub mod pecc;
 
 pub use code::{DecodeOutcome, Decoded, SecdedCode};
 pub use error::EccError;
 pub use hamming::HammingSecded;
-pub use lanes::LaneCounter;
 pub use memory::{EccMemory, PeccMemory};
 pub use pecc::PriorityEcc;

@@ -30,19 +30,10 @@
 //!   sampling substrate of the parallel fault-injection pipeline
 //!   (`faultmit-sim`): fault maps depend only on `(campaign seed, sample
 //!   index)`, never on which worker thread draws them.
+//! * [`DieScratch`] — the per-worker arena the campaign engine generates
+//!   each die into, allocation-free once warm.
 //! * [`MarchBist`] — a March C- built-in self test that locates faulty cells,
 //!   producing the per-row report that seeds the bit-shuffling FM-LUT.
-//! * [`dieblock`] — transposed (bit-sliced) die blocks: up to 256 planned
-//!   samples packed into [`W256`] lanes ([`DieBlock`], [`LaneCell`],
-//!   [`ResidualLanes`]) for the lane-parallel evaluation kernel, generated
-//!   from the same per-sample RNG streams as the scalar paths.
-//! * [`widegen`] — lane-interleaved die-block *generation*: [`WIDE_LANES`]
-//!   independent per-sample xoshiro256++ streams advanced as SoA array ops
-//!   ([`rand::wide::WideXoshiro`]), lane-masked Floyd sampling and kind
-//!   draws, emitting straight into the block event buffer. Backends opt in
-//!   via [`FaultBackend::wide_generation`] ([`WideGenSpec`]); each lane's
-//!   stream stays bit-for-bit the one [`StreamSeeder::rng_for_sample`]
-//!   produces, so the wide and scalar generators are interchangeable.
 //!
 //! # Example
 //!
@@ -69,7 +60,6 @@ pub mod array;
 pub mod backend;
 pub mod bist;
 pub mod config;
-pub mod dieblock;
 pub mod error;
 pub mod failure_model;
 pub mod fault;
@@ -80,7 +70,6 @@ pub mod scratch;
 pub mod seeder;
 pub mod stats;
 pub mod voltage;
-pub mod widegen;
 
 pub use array::{corrupt_word, SramArray};
 pub use backend::{
@@ -89,14 +78,12 @@ pub use backend::{
 };
 pub use bist::{BistReport, MarchBist, RowFaultReport};
 pub use config::MemoryConfig;
-pub use dieblock::{die_row_faults, BlockRow, DieBlock, LaneCell, ResidualLanes, W256};
 pub use error::MemError;
 pub use failure_model::{CellFailureModel, FailureModelBuilder};
 pub use fault::{Fault, FaultKind, FaultMap};
 pub use image::{AppImage, DataImage, ImageSpec, WordImage};
 pub use montecarlo::{FailureCountDistribution, FaultMapSampler};
 pub use redundancy::{repair_yield, spares_for_full_repair, RowRepair};
-pub use scratch::{BlockScratch, DieScratch};
+pub use scratch::DieScratch;
 pub use seeder::{DieBatch, PlannedSample, StreamSeeder};
 pub use voltage::{VddSweep, VoltageScaledDie};
-pub use widegen::{WideGenSpec, WIDE_LANES};

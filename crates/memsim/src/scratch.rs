@@ -1,28 +1,20 @@
 //! Reusable per-worker scratch storage for allocation-free die generation.
 //!
-//! Each Monte-Carlo worker owns one arena: a [`DieScratch`] for per-sample
-//! generation (the warm [`FaultMap`] plus every auxiliary container the
-//! backends' samplers need — the Floyd-sampling index buffers for iid
-//! placement, the occupancy set for rejection placement), or a
-//! [`BlockScratch`] when the bit-sliced kernels run, which wraps a
-//! `DieScratch` and adds the lane transposition buffers for one
-//! [`DieBlock`] of up to [`W256::LANES`] dies. After a short warm-up the
-//! containers reach their high-water capacities and steady-state die
-//! generation performs **zero heap allocations** — the arena is cleared,
-//! never dropped, between dies. The [`DieScratch::realloc_events`] /
-//! [`BlockScratch::realloc_events`] counters make that claim testable: they
-//! increment whenever a generation call grows any tracked container, so a
-//! regression test can pin them flat across a long campaign tail.
+//! Each Monte-Carlo worker owns one [`DieScratch`] arena: the warm
+//! [`FaultMap`] plus every auxiliary container the backends' samplers need
+//! — the Floyd-sampling index buffers for iid placement, the occupancy set
+//! for rejection placement. After a short warm-up the containers reach
+//! their high-water capacities and steady-state die generation performs
+//! **zero heap allocations** — the arena is cleared, never dropped, between
+//! dies. The [`DieScratch::realloc_events`] counter makes that claim
+//! testable: it increments whenever a generation call grows any tracked
+//! container, so a regression test can pin it flat across a long campaign
+//! tail.
 
 use crate::backend::FaultBackend;
 use crate::config::MemoryConfig;
-use crate::dieblock::{
-    event_sort_key, pack_event, transpose_events, BlockRowEntry, DieBlock, LaneCell, W256,
-};
 use crate::error::MemError;
 use crate::fault::FaultMap;
-use crate::seeder::{PlannedSample, StreamSeeder};
-use crate::widegen::WideGenScratch;
 use faultmit_obs as obs;
 use rand::rngs::StdRng;
 use std::collections::HashSet;
@@ -104,7 +96,7 @@ impl DieScratch {
         }
     }
 
-    pub(crate) fn capacity_signature(&self) -> [usize; 4] {
+    fn capacity_signature(&self) -> [usize; 4] {
         [
             self.map.capacity(),
             self.taken.capacity(),
@@ -169,237 +161,6 @@ impl DieScratch {
         obs::count(obs::Counter::FaultsGenerated, n_faults as u64);
         obs::record(obs::Histogram::FaultsPerDie, n_faults as u64);
         Ok(&self.map)
-    }
-}
-
-/// A reusable arena for generating transposed [`DieBlock`]s of up to
-/// [`W256::LANES`] dies, wrapping a [`DieScratch`] for the per-sample draws.
-///
-/// Create one per worker thread ([`BlockScratch::new`]) and call
-/// [`BlockScratch::generate_block`] once per block; the returned
-/// [`DieBlock`] view borrows the arena and is valid until the next
-/// generation call. The inner scratch is reachable through
-/// [`BlockScratch::scalar_mut`] for the campaign executor's per-sample
-/// tail, so one arena serves both paths of a mixed block/scalar shard.
-#[derive(Debug)]
-pub struct BlockScratch {
-    /// The per-sample arena every planned die is drawn into.
-    scalar: DieScratch,
-    /// Packed `(row, col, die, kind)` events for block transposition.
-    events: Vec<u64>,
-    /// Bucket directory for the counting sort of dense event batches.
-    counts: Vec<u32>,
-    /// Scatter target for the counting sort of dense event batches.
-    sorted: Vec<u64>,
-    /// Transposed lane cells backing the current [`DieBlock`] view.
-    cells: Vec<LaneCell>,
-    /// Row directory backing the current [`DieBlock`] view.
-    rows: Vec<BlockRowEntry>,
-    /// Per-lane buffers of the lane-interleaved generator.
-    wide: WideGenScratch,
-    /// Whether wide-capable backends take the lane-interleaved path.
-    wide_generation: bool,
-    realloc_events: u64,
-}
-
-impl BlockScratch {
-    /// Creates an empty (cold) block arena for dies of the given geometry.
-    #[must_use]
-    pub fn new(config: MemoryConfig) -> Self {
-        Self {
-            scalar: DieScratch::new(config),
-            events: Vec::new(),
-            counts: Vec::new(),
-            sorted: Vec::new(),
-            cells: Vec::new(),
-            rows: Vec::new(),
-            wide: WideGenScratch::default(),
-            wide_generation: true,
-            realloc_events: 0,
-        }
-    }
-
-    /// Enables or disables the lane-interleaved generation path (on by
-    /// default). With it off — or for backends that do not opt in via
-    /// [`FaultBackend::wide_generation`] — every block is generated through
-    /// the scalar per-die path. Both paths produce bit-identical blocks;
-    /// the switch exists for benchmarking and for the equivalence gates.
-    pub fn set_wide_generation(&mut self, enabled: bool) {
-        self.wide_generation = enabled;
-    }
-
-    /// The wrapped per-sample arena.
-    #[must_use]
-    pub fn scalar(&self) -> &DieScratch {
-        &self.scalar
-    }
-
-    /// Mutable access to the wrapped per-sample arena — the campaign
-    /// executor's scalar tail generates lone samples through it.
-    pub fn scalar_mut(&mut self) -> &mut DieScratch {
-        &mut self.scalar
-    }
-
-    /// How many generation calls (block or scalar) grew a tracked
-    /// container. Flat after warm-up ⇔ steady-state block generation is
-    /// allocation-free.
-    #[must_use]
-    pub fn realloc_events(&self) -> u64 {
-        self.realloc_events + self.scalar.realloc_events()
-    }
-
-    fn capacity_signature(&self) -> [usize; 10] {
-        let scalar = self.scalar.capacity_signature();
-        // The counting sort swaps the `events` and `sorted` buffers, so
-        // record that pair order-independently: a swap of warm buffers is
-        // not a reallocation.
-        let events = self.events.capacity();
-        let sorted = self.sorted.capacity();
-        [
-            scalar[0],
-            scalar[1],
-            scalar[2],
-            scalar[3],
-            events.min(sorted),
-            events.max(sorted),
-            self.counts.capacity(),
-            self.cells.capacity(),
-            self.rows.capacity(),
-            self.wide.capacity_sum(),
-        ]
-    }
-
-    /// Generates up to [`W256::LANES`] planned samples into one transposed
-    /// [`DieBlock`]: die `j` of the block is `plan[j]`, generated with the
-    /// *same* RNG stream ([`StreamSeeder::rng_for_sample`]) and the same
-    /// per-sample protocol (plain, or single-fault-per-row when
-    /// `max_redraws` is `Some`) as the scalar and sparse kernels, then
-    /// transposed into per-cell lanes. The view borrows the arena and is
-    /// valid until the next generation call.
-    ///
-    /// # Errors
-    ///
-    /// Rejects plans longer than [`W256::LANES`] samples and propagates the
-    /// backend's sampling errors.
-    pub fn generate_block<B: FaultBackend + ?Sized>(
-        &mut self,
-        backend: &B,
-        seeder: &StreamSeeder,
-        plan: &[PlannedSample],
-        max_redraws: Option<usize>,
-    ) -> Result<DieBlock<'_>, MemError> {
-        if plan.len() > W256::LANES {
-            return Err(MemError::InvalidParameter {
-                reason: format!(
-                    "die block plan of {} samples exceeds the {}-die lane width",
-                    plan.len(),
-                    W256::LANES
-                ),
-            });
-        }
-        // The lane-interleaved path handles the plain per-sample protocol
-        // only; the single-fault-per-row redraw loop is data-dependent, so
-        // `max_redraws` plans always take the scalar path.
-        let wide_spec = if self.wide_generation && max_redraws.is_none() {
-            backend.wide_generation()
-        } else {
-            None
-        };
-        let before = self.capacity_signature();
-        let mut events = std::mem::take(&mut self.events);
-        events.clear();
-        let result = match wide_spec {
-            Some(spec) => crate::widegen::generate_block_events(
-                spec,
-                self.scalar.map.config(),
-                seeder,
-                plan,
-                &mut self.wide,
-                &mut events,
-            ),
-            None => self.fill_events_scalar(backend, seeder, plan, max_redraws, &mut events),
-        };
-        self.events = events;
-        result?;
-        let transpose_span = obs::span(obs::Stage::Transpose);
-        // Restore `(row, col, die)` order for transposition. Events arrive
-        // die-major with each die already `(row, col)`-sorted, so a stable
-        // two-pass counting sort on the `(row, col)` key reproduces the
-        // exact `sort_unstable` order in linear time — the win that makes
-        // dense blocks affordable. Sparse batches keep the comparison sort,
-        // where zeroing the bucket directory would dominate.
-        let buckets = self.scalar.map.config().rows() << 6;
-        if self.events.len() >= buckets >> 3 {
-            self.counts.clear();
-            self.counts.resize(buckets, 0);
-            for &event in &self.events {
-                self.counts[event_sort_key(event)] += 1;
-            }
-            let mut offset = 0u32;
-            for slot in &mut self.counts {
-                let count = *slot;
-                *slot = offset;
-                offset += count;
-            }
-            self.sorted.clear();
-            self.sorted.resize(self.events.len(), 0);
-            for &event in &self.events {
-                let key = event_sort_key(event);
-                self.sorted[self.counts[key] as usize] = event;
-                self.counts[key] += 1;
-            }
-            std::mem::swap(&mut self.events, &mut self.sorted);
-        } else {
-            self.events.sort_unstable();
-        }
-        transpose_events(&self.events, &mut self.cells, &mut self.rows);
-        drop(transpose_span);
-        obs::count(obs::Counter::BlocksTransposed, 1);
-        if self.capacity_signature() != before {
-            self.realloc_events += 1;
-            obs::count(obs::Counter::ReallocEvents, 1);
-        }
-        Ok(DieBlock::new(
-            &self.rows,
-            &self.cells,
-            plan.len(),
-            self.scalar.map.config(),
-        ))
-    }
-
-    /// The scalar fallback of [`BlockScratch::generate_block`]: one die at
-    /// a time through the wrapped [`DieScratch`], repacked into events.
-    fn fill_events_scalar<B: FaultBackend + ?Sized>(
-        &mut self,
-        backend: &B,
-        seeder: &StreamSeeder,
-        plan: &[PlannedSample],
-        max_redraws: Option<usize>,
-        events: &mut Vec<u64>,
-    ) -> Result<(), MemError> {
-        for (die, planned) in plan.iter().enumerate() {
-            let mut rng = seeder.rng_for_sample(planned.index);
-            let n_faults = planned.n_faults as usize;
-            // Replicate the per-sample RNG consumption exactly: plain draw,
-            // or the single-fault-per-row redraw loop.
-            backend.sample_into(&mut rng, n_faults, &mut self.scalar)?;
-            if let Some(max_redraws) = max_redraws {
-                for _ in 0..max_redraws {
-                    if self.scalar.map.max_faults_per_row() <= 1 {
-                        break;
-                    }
-                    backend.sample_into(&mut rng, n_faults, &mut self.scalar)?;
-                }
-            }
-            for fault in self.scalar.map.iter() {
-                events.push(pack_event(fault.row, fault.col, die, fault.kind));
-            }
-            let n_faults = planned.n_faults;
-            obs::count(obs::Counter::DiesGenerated, 1);
-            obs::count(obs::Counter::FaultsGenerated, n_faults);
-            obs::record(obs::Histogram::FaultsPerDie, n_faults);
-        }
-        Ok(())
     }
 }
 
@@ -471,47 +232,6 @@ mod tests {
                 scratch.realloc_events(),
                 warm,
                 "{kind}: steady-state die generation reallocated"
-            );
-        }
-    }
-
-    #[test]
-    fn steady_state_wide_block_generation_performs_no_reallocation() {
-        use crate::seeder::{PlannedSample, StreamSeeder};
-        let seeder = StreamSeeder::new(0x1D1E);
-        for kind in BackendKind::ALL {
-            let backend = Backend::at_p_cell(kind, config(), 1e-3).unwrap();
-            let mut scratch = BlockScratch::new(config());
-            let plan_at = |start: u64, n_faults: u64| -> Vec<PlannedSample> {
-                (0..256u64)
-                    .map(|j| PlannedSample {
-                        index: start + j,
-                        n_faults,
-                    })
-                    .collect()
-            };
-            // Warm-up: containers grow to their high-water capacities.
-            for round in 0..4u64 {
-                scratch
-                    .generate_block(&backend, &seeder, &plan_at(round * 256, 40), None)
-                    .unwrap();
-            }
-            let warm = scratch.realloc_events();
-            // Steady state at or below the high-water fault count.
-            for round in 0..32u64 {
-                scratch
-                    .generate_block(
-                        &backend,
-                        &seeder,
-                        &plan_at(1024 + round * 256, 1 + round % 40),
-                        None,
-                    )
-                    .unwrap();
-            }
-            assert_eq!(
-                scratch.realloc_events(),
-                warm,
-                "{kind}: steady-state wide block generation reallocated"
             );
         }
     }

@@ -89,40 +89,14 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Monte-Carlo dies generated (any kernel, any generation path).
+    /// Monte-Carlo dies generated.
     DiesGenerated,
     /// Faults placed across all generated dies.
     FaultsGenerated,
-    /// Samples evaluated through a campaign kernel.
+    /// Samples evaluated through a campaign.
     SamplesEvaluated,
     /// Work chunks executed by the pipeline.
     ChunksExecuted,
-    /// Lane-interleaved generation chunks (up to `WIDE_LANES` dies each).
-    WideGenChunks,
-    /// Lane slots offered by the wide generator's lock-step Floyd loop
-    /// (lane width × steps); the denominator of lane utilisation.
-    WideGenLaneSteps,
-    /// Lane slots that carried an active draw; the numerator of lane
-    /// utilisation.
-    WideGenLanesActive,
-    /// Times the wide Floyd loop fell to a single divergent lane and
-    /// drained it through a scalar RNG.
-    WideGenScalarDrains,
-    /// Die blocks transposed into lane-sliced form.
-    BlocksTransposed,
-    /// Campaign shard runs dispatched to the event-driven sparse kernel.
-    DispatchSparse,
-    /// Campaign shard runs dispatched to the 256-die bit-sliced kernel.
-    DispatchBitsliced256,
-    /// Faulty block rows evaluated through the lane-parallel block
-    /// observer.
-    ObserveBlockRows,
-    /// Faulty block rows a scheme declined lane-parallel evaluation for
-    /// (whole-row scalar fallback).
-    ObserveFallbackRows,
-    /// Individual dies evaluated through the per-die scalar fallback
-    /// inside an otherwise lane-parallel row.
-    ObserveFallbackDies,
     /// ECC reads of fault-free rows that took the `decode_clean` fast
     /// path.
     EccCleanDecodes,
@@ -138,7 +112,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants (the length of [`Counter::ALL`]).
-pub const COUNTER_COUNT: usize = 18;
+pub const COUNTER_COUNT: usize = 8;
 
 impl Counter {
     /// Every counter, in declaration (and serialisation) order.
@@ -147,16 +121,6 @@ impl Counter {
         Self::FaultsGenerated,
         Self::SamplesEvaluated,
         Self::ChunksExecuted,
-        Self::WideGenChunks,
-        Self::WideGenLaneSteps,
-        Self::WideGenLanesActive,
-        Self::WideGenScalarDrains,
-        Self::BlocksTransposed,
-        Self::DispatchSparse,
-        Self::DispatchBitsliced256,
-        Self::ObserveBlockRows,
-        Self::ObserveFallbackRows,
-        Self::ObserveFallbackDies,
         Self::EccCleanDecodes,
         Self::EccFullDecodes,
         Self::YieldObservationsVisited,
@@ -171,16 +135,6 @@ impl Counter {
             Self::FaultsGenerated => "faults_generated",
             Self::SamplesEvaluated => "samples_evaluated",
             Self::ChunksExecuted => "chunks_executed",
-            Self::WideGenChunks => "widegen_chunks",
-            Self::WideGenLaneSteps => "widegen_lane_steps",
-            Self::WideGenLanesActive => "widegen_lanes_active",
-            Self::WideGenScalarDrains => "widegen_scalar_drains",
-            Self::BlocksTransposed => "blocks_transposed",
-            Self::DispatchSparse => "dispatch_sparse",
-            Self::DispatchBitsliced256 => "dispatch_bitsliced256",
-            Self::ObserveBlockRows => "observe_block_rows",
-            Self::ObserveFallbackRows => "observe_fallback_rows",
-            Self::ObserveFallbackDies => "observe_fallback_dies",
             Self::EccCleanDecodes => "ecc_clean_decodes",
             Self::EccFullDecodes => "ecc_full_decodes",
             Self::YieldObservationsVisited => "yield_observations_visited",
@@ -243,10 +197,8 @@ impl Histogram {
 pub enum Stage {
     /// Building the campaign's per-sample fault-count plan.
     Plan,
-    /// Generating fault maps (scalar, sparse or wide path).
+    /// Generating fault maps.
     Generate,
-    /// Transposing generated events into lane-sliced die blocks.
-    Transpose,
     /// Evaluating schemes against generated dies.
     Observe,
     /// Folding per-sample observations into chunk accumulators.
@@ -261,14 +213,13 @@ pub enum Stage {
 }
 
 /// Number of [`Stage`] variants.
-pub const STAGE_COUNT: usize = 8;
+pub const STAGE_COUNT: usize = 7;
 
 impl Stage {
     /// Every stage, in pipeline order.
     pub const ALL: [Self; STAGE_COUNT] = [
         Self::Plan,
         Self::Generate,
-        Self::Transpose,
         Self::Observe,
         Self::Reduce,
         Self::Merge,
@@ -282,7 +233,6 @@ impl Stage {
         match self {
             Self::Plan => "plan",
             Self::Generate => "generate",
-            Self::Transpose => "transpose",
             Self::Observe => "observe",
             Self::Reduce => "reduce",
             Self::Merge => "merge",
@@ -567,24 +517,6 @@ impl MetricsSnapshot {
             .collect()
     }
 
-    /// Wide-generation lane utilisation in `[0, 1]` (`None` when the wide
-    /// path never ran).
-    #[must_use]
-    pub fn wide_lane_utilisation(&self) -> Option<f64> {
-        let steps = self.counter(Counter::WideGenLaneSteps);
-        (steps != 0).then(|| self.counter(Counter::WideGenLanesActive) as f64 / steps as f64)
-    }
-
-    /// Fraction of faulty block rows that fell back to whole-row scalar
-    /// evaluation (`None` when no block rows were observed).
-    #[must_use]
-    pub fn observe_fallback_rate(&self) -> Option<f64> {
-        let block = self.counter(Counter::ObserveBlockRows);
-        let fallback = self.counter(Counter::ObserveFallbackRows);
-        let total = block + fallback;
-        (total != 0).then(|| fallback as f64 / total as f64)
-    }
-
     /// Element-wise accumulation (cross-shard / cross-panel aggregation).
     pub fn merge(&mut self, other: &Self) {
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
@@ -737,20 +669,6 @@ mod tests {
         for (i, counter) in Counter::ALL.iter().enumerate() {
             assert_eq!(*counter as usize, i);
         }
-    }
-
-    #[test]
-    fn derived_rates() {
-        let recorder = Recorder::new();
-        assert_eq!(recorder.snapshot().wide_lane_utilisation(), None);
-        assert_eq!(recorder.snapshot().observe_fallback_rate(), None);
-        recorder.add(Counter::WideGenLaneSteps, 8);
-        recorder.add(Counter::WideGenLanesActive, 6);
-        recorder.add(Counter::ObserveBlockRows, 3);
-        recorder.add(Counter::ObserveFallbackRows, 1);
-        let snapshot = recorder.snapshot();
-        assert_eq!(snapshot.wide_lane_utilisation(), Some(0.75));
-        assert_eq!(snapshot.observe_fallback_rate(), Some(0.25));
     }
 
     #[test]

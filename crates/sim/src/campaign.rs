@@ -26,8 +26,8 @@ use crate::error::{RunError, SimError};
 use crate::executor::{run_chunked_with, Parallelism};
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{
-    BlockScratch, DieBlock, FailureCountDistribution, FaultBackend, FaultMap, ImageSpec,
-    MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder, W256,
+    DieScratch, FailureCountDistribution, FaultBackend, FaultMap, ImageSpec, MemoryConfig,
+    PlannedSample, SramVddBackend, StreamSeeder,
 };
 use faultmit_obs as obs;
 use std::convert::Infallible;
@@ -175,9 +175,9 @@ pub enum MapPolicy {
 /// configuration: the accumulator never depends on them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ShardStats {
-    /// Wall-clock seconds spent generating dies (sampling fault maps /
-    /// blocks), summed across worker threads — with more than one worker
-    /// this is CPU time and can exceed the shard's elapsed time.
+    /// Wall-clock seconds spent generating dies (sampling fault maps),
+    /// summed across worker threads — with more than one worker this is
+    /// CPU time and can exceed the shard's elapsed time.
     pub generation_seconds: f64,
     /// Everything the observability layer recorded during the run: the
     /// delta of the calling thread's current [`faultmit_obs::Recorder`]
@@ -185,120 +185,6 @@ pub struct ShardStats {
     /// totals obey the same worker-count bit-identity contract as the
     /// results; stage times and realloc events are host-dependent.
     pub metrics: obs::MetricsSnapshot,
-}
-
-/// Which evaluation kernel a campaign drives. Both fixed kernels produce
-/// **bit-identical** per-panel results (the `kernel_equivalence` suite pins
-/// this against the scalar `observe` oracle); they differ only in
-/// throughput. [`KernelKind::Auto`] resolves to one of them per campaign
-/// before any sampling happens, so it inherits the same guarantee.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelKind {
-    /// The event-driven kernel walking only fault-bearing rows through
-    /// `observe_sparse` — the default.
-    #[default]
-    Sparse,
-    /// The bit-sliced kernel: up to 256 dies transposed into [`W256`] lanes
-    /// (four `u64` words per lane, autovectorisable element-wise ops) and
-    /// evaluated together through the block observer, with a per-die tail
-    /// for leftover samples.
-    Bitsliced256,
-    /// Density-adaptive choice: resolves to [`KernelKind::Bitsliced256`]
-    /// when the expected fault density meets
-    /// [`AUTO_FAULTS_PER_ROW_THRESHOLD`] faults per row, and to
-    /// [`KernelKind::Sparse`] otherwise. See [`KernelKind::resolve`].
-    Auto,
-}
-
-/// The density threshold of the `auto` kernel policy, in expected faults
-/// per memory row.
-///
-/// At or above this density (one expected fault per sixteen rows), most
-/// sampled dies carry enough fault-bearing rows that the per-row transpose
-/// and lane-wide evaluation of the 256-die bit-sliced kernel amortises its
-/// fixed cost; below it, the event-driven sparse kernel's skip-empty-rows
-/// advantage wins. The constant is pinned by a unit test against the benched
-/// operating points in `benches/pipeline.rs`.
-pub const AUTO_FAULTS_PER_ROW_THRESHOLD: f64 = 1.0 / 16.0;
-
-impl KernelKind {
-    /// All kernels, in sparse → bitsliced256 → auto order.
-    pub const ALL: [KernelKind; 3] = [
-        KernelKind::Sparse,
-        KernelKind::Bitsliced256,
-        KernelKind::Auto,
-    ];
-
-    /// Names of kernels earlier releases offered and this one no longer
-    /// runs; parsing one fails with a message saying so.
-    pub const REMOVED: [&'static str; 2] = ["scalar", "bitsliced"];
-
-    /// The CLI / telemetry name of the kernel.
-    #[must_use]
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            KernelKind::Sparse => "sparse",
-            KernelKind::Bitsliced256 => "bitsliced256",
-            KernelKind::Auto => "auto",
-        }
-    }
-
-    /// Resolves the density-adaptive `auto` kernel to a fixed kernel for a
-    /// campaign expecting `expected_faults_per_die` faults spread over
-    /// `rows` memory rows; fixed kernels return themselves unchanged.
-    ///
-    /// `Auto` picks [`KernelKind::Bitsliced256`] when the expected density
-    /// reaches `faults_per_row_threshold` faults per row (the default is
-    /// [`AUTO_FAULTS_PER_ROW_THRESHOLD`]; `--auto-threshold` overrides it)
-    /// and [`KernelKind::Sparse`] otherwise, including the degenerate
-    /// `rows == 0` case.
-    #[must_use]
-    pub fn resolve(
-        self,
-        expected_faults_per_die: f64,
-        rows: usize,
-        faults_per_row_threshold: f64,
-    ) -> KernelKind {
-        match self {
-            KernelKind::Auto => {
-                #[allow(clippy::cast_precision_loss)]
-                let dense_threshold = rows as f64 * faults_per_row_threshold;
-                if rows > 0 && expected_faults_per_die >= dense_threshold {
-                    KernelKind::Bitsliced256
-                } else {
-                    KernelKind::Sparse
-                }
-            }
-            fixed => fixed,
-        }
-    }
-}
-
-impl fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for KernelKind {
-    type Err = SimError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let name = s.trim();
-        match name {
-            "sparse" => Ok(KernelKind::Sparse),
-            "bitsliced256" => Ok(KernelKind::Bitsliced256),
-            "auto" => Ok(KernelKind::Auto),
-            removed if KernelKind::REMOVED.contains(&removed) => Err(SimError::InvalidParameter {
-                reason: format!(
-                    "kernel '{removed}' was removed (expected sparse|bitsliced256|auto)"
-                ),
-            }),
-            other => Err(SimError::InvalidParameter {
-                reason: format!("unknown kernel '{other}' (expected sparse|bitsliced256|auto)"),
-            }),
-        }
-    }
 }
 
 /// Configuration of a fault-injection campaign, generic over the
@@ -315,8 +201,6 @@ pub struct CampaignConfig<B: FaultBackend = SramVddBackend> {
     parallelism: Parallelism,
     map_policy: MapPolicy,
     image: ImageSpec,
-    kernel: KernelKind,
-    auto_threshold: Option<f64>,
 }
 
 impl CampaignConfig<SramVddBackend> {
@@ -328,7 +212,7 @@ impl CampaignConfig<SramVddBackend> {
     /// Defaults: 100 fault maps per failure count, failure counts up to the
     /// 99th percentile of the binomial distribution (the paper's `N_max`
     /// choice), unrestricted maps, chunked in blocks of 32 samples, one
-    /// worker per CPU, the all-zeros image and the sparse kernel.
+    /// worker per CPU and the all-zeros image.
     ///
     /// # Errors
     ///
@@ -372,8 +256,6 @@ impl<B: FaultBackend> CampaignConfig<B> {
             parallelism: Parallelism::default(),
             map_policy: MapPolicy::default(),
             image: ImageSpec::Zeros,
-            kernel: KernelKind::default(),
-            auto_threshold: None,
         })
     }
 
@@ -452,44 +334,6 @@ impl<B: FaultBackend> CampaignConfig<B> {
         self.image
     }
 
-    /// Selects the evaluation kernel a data-aware evaluator layer (the MSE
-    /// engine of `faultmit-analysis`) dispatches to (default:
-    /// [`KernelKind::Sparse`]).
-    ///
-    /// All kernels accumulate **bit-identical** results; the choice only
-    /// trades throughput. `auto` resolves to `sparse` or `bitsliced256`
-    /// from the campaign's expected fault density before any sampling
-    /// happens (see [`CampaignConfig::resolved_kernel`]).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The evaluation kernel as configured (`auto` stays `auto`; see
-    /// [`CampaignConfig::resolved_kernel`] for the kernel that executes).
-    #[must_use]
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
-    }
-
-    /// Overrides the density threshold (in expected faults per row) at
-    /// which [`KernelKind::Auto`] picks the dense bit-sliced kernel over
-    /// the sparse one — the `--auto-threshold` CLI knob. `None` (the
-    /// default) keeps [`AUTO_FAULTS_PER_ROW_THRESHOLD`]. Fixed kernels
-    /// ignore the threshold.
-    #[must_use]
-    pub fn with_auto_threshold(mut self, auto_threshold: Option<f64>) -> Self {
-        self.auto_threshold = auto_threshold;
-        self
-    }
-
-    /// The configured `auto`-kernel density threshold override, if any.
-    #[must_use]
-    pub fn auto_threshold(&self) -> Option<f64> {
-        self.auto_threshold
-    }
-
     /// The fault-generating backend under study.
     #[must_use]
     pub fn backend(&self) -> &B {
@@ -546,43 +390,6 @@ impl<B: FaultBackend> CampaignConfig<B> {
             Some(n) => Ok(n),
             None => Ok(self.failure_distribution()?.n_max(self.coverage)),
         }
-    }
-
-    /// The expected number of faults injected per sampled die, used by the
-    /// [`KernelKind::Auto`] density policy.
-    ///
-    /// An exact-failure campaign injects exactly that count into every die;
-    /// a swept campaign runs `samples_per_count` dies at every count in
-    /// `1..=effective_max_failures`, so the mean over the whole campaign is
-    /// the midpoint `(1 + n_max) / 2`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from building the failure distribution.
-    pub fn expected_faults_per_die(&self) -> Result<f64, SimError> {
-        #[allow(clippy::cast_precision_loss)]
-        match self.exact_failures {
-            Some(n) => Ok(n as f64),
-            None => Ok((1.0 + self.effective_max_failures()? as f64) / 2.0),
-        }
-    }
-
-    /// The fixed kernel the configured [`KernelKind`] resolves to: fixed
-    /// kernels return themselves, and [`KernelKind::Auto`] applies
-    /// [`KernelKind::resolve`] to [`CampaignConfig::expected_faults_per_die`]
-    /// over the memory's rows at the configured (or default) threshold. The
-    /// answer depends only on the configuration, so every shard of a
-    /// campaign resolves identically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from building the failure distribution.
-    pub fn resolved_kernel(&self) -> Result<KernelKind, SimError> {
-        Ok(self.kernel.resolve(
-            self.expected_faults_per_die()?,
-            self.memory().rows(),
-            self.auto_threshold.unwrap_or(AUTO_FAULTS_PER_ROW_THRESHOLD),
-        ))
     }
 
     /// The fixed failure count of an exact-failure campaign (see
@@ -685,12 +492,9 @@ impl<B: FaultBackend> Campaign<B> {
     /// [`ShardSpec::solo`] run — including order-sensitive floating-point
     /// weight sums — for every backend and any worker count.
     ///
-    /// `evaluator` is built with [`per_die`] (every scheme sees each die's
-    /// [`FaultMap`]) or [`blocks`] (dies are grouped into transposed
-    /// [`DieBlock`]s of up to [`W256::LANES`] dies, with lone samples taking
-    /// the per-die metric). Either way every scheme sees the identical die,
-    /// and when the block and per-die metrics agree per die the accumulator
-    /// is the same under both evaluators. `make_accumulator` creates one
+    /// `metric(scheme, map)` scores one die under one scheme and returns an
+    /// `f64` or a `Result<f64, E>` (see [`DieMetric`]); every scheme sees
+    /// the identical die's [`FaultMap`]. `make_accumulator` creates one
     /// chunk-local accumulator per work chunk; chunk results merge in chunk
     /// order into the returned accumulator.
     ///
@@ -700,19 +504,20 @@ impl<B: FaultBackend> Campaign<B> {
     /// # Errors
     ///
     /// Returns [`RunError::Sim`] for pipeline errors and [`RunError::Eval`]
-    /// with the first evaluator error in deterministic (chunk-order)
-    /// position within the shard.
-    pub fn execute<S, V, A>(
+    /// with the first metric error in deterministic (chunk-order) position
+    /// within the shard.
+    pub fn execute<S, F, M, A>(
         &self,
         schemes: &[S],
         seed: u64,
         shard: ShardSpec,
-        evaluator: V,
+        metric: F,
         make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<(A, ShardStats), RunError<V::Error>>
+    ) -> Result<(A, ShardStats), RunError<M::Error>>
     where
         S: MitigationScheme + Sync,
-        V: Evaluator<S>,
+        F: Fn(&S, &FaultMap) -> M + Sync,
+        M: DieMetric,
         A: Accumulator,
     {
         // The calling thread's recorder (if any) is re-installed on every
@@ -732,32 +537,30 @@ impl<B: FaultBackend> Campaign<B> {
         // contents (and its samples' RNG streams) are identical whether the
         // campaign runs monolithically or split across processes.
         let owned_chunks = shard.chunk_range(plan.len().div_ceil(chunk_size));
-        // The single-fault-per-row protocol threads through both generators
-        // as a redraw budget so RNG consumption stays identical.
+        // The single-fault-per-row protocol threads through the generator as
+        // a redraw budget.
         let max_redraws = match self.config.map_policy {
             MapPolicy::Unrestricted => None,
             MapPolicy::SingleFaultPerRow { max_redraws } => Some(max_redraws),
         };
         let gen_timer = AtomicU64::new(0);
 
-        // Per-worker scratch: one warm arena (fault map + transposed block
-        // buffers), a recycled per-die metrics vector and the per-scheme
-        // block output matrix (schemes × block width), all reused across
-        // every chunk the worker claims. Scratch holds storage only — each
-        // chunk's result stays a pure function of its index, so
-        // bit-identity at any worker count is unaffected.
-        let chunk_results: Vec<Result<A, RunError<V::Error>>> = run_chunked_with(
+        // Per-worker scratch: one warm die arena and a recycled per-die
+        // metrics vector, both reused across every chunk the worker claims.
+        // Scratch holds storage only — each chunk's result stays a pure
+        // function of its index, so bit-identity at any worker count is
+        // unaffected.
+        let chunk_results: Vec<Result<A, RunError<M::Error>>> = run_chunked_with(
             owned_chunks.len(),
             self.config.parallelism.worker_count(),
             || {
                 (
                     recorder.as_ref().map(obs::install),
-                    BlockScratch::new(backend.config()),
+                    DieScratch::new(backend.config()),
                     Vec::<f64>::with_capacity(schemes.len()),
-                    vec![0.0f64; schemes.len() * V::BLOCK_DIES],
                 )
             },
-            |(_recorder_guard, scratch, metrics, block_out), local_index| {
+            |(_recorder_guard, scratch, metrics), local_index| {
                 let chunk_index = owned_chunks.start + local_index;
                 let start = chunk_index * chunk_size;
                 let end = (start + chunk_size).min(plan.len());
@@ -769,7 +572,24 @@ impl<B: FaultBackend> Campaign<B> {
                 let mut gen_nanos = 0u64;
                 let mut observe_nanos = 0u64;
                 let mut reduce_nanos = 0u64;
-                let mut record = |planned: &PlannedSample, metrics: &mut Vec<f64>| {
+
+                for planned in &plan[start..end] {
+                    let clock = Instant::now();
+                    let mut rng = seeder.rng_for_sample(planned.index);
+                    let n = planned.n_faults as usize;
+                    let map = match max_redraws {
+                        None => scratch.generate(backend, &mut rng, n),
+                        Some(budget) => {
+                            scratch.generate_single_fault_per_row(backend, &mut rng, n, budget)
+                        }
+                    }
+                    .map_err(|e| RunError::Sim(SimError::from(e)))?;
+                    let clock = lap(clock, &mut gen_nanos);
+                    metrics.clear();
+                    for scheme in schemes {
+                        metrics.push(metric(scheme, map).into_result().map_err(RunError::Eval)?);
+                    }
+                    let clock = lap(clock, &mut observe_nanos);
                     let sample = PairedSample {
                         sample_index: planned.index,
                         n_faults: planned.n_faults,
@@ -779,49 +599,6 @@ impl<B: FaultBackend> Campaign<B> {
                     accumulator.record(&sample);
                     // Reclaim the metrics buffer for the next die.
                     *metrics = sample.metrics;
-                };
-
-                for group in plan[start..end].chunks(V::BLOCK_DIES) {
-                    let clock = Instant::now();
-                    if let [planned] = group {
-                        // Per-die path (and the block kernels' tail: a lone
-                        // sample is cheaper through the sparse walk than
-                        // through transposition).
-                        let mut rng = seeder.rng_for_sample(planned.index);
-                        let n = planned.n_faults as usize;
-                        let scalar = scratch.scalar_mut();
-                        let map = match max_redraws {
-                            None => scalar.generate(backend, &mut rng, n),
-                            Some(budget) => {
-                                scalar.generate_single_fault_per_row(backend, &mut rng, n, budget)
-                            }
-                        }
-                        .map_err(|e| RunError::Sim(SimError::from(e)))?;
-                        let clock = lap(clock, &mut gen_nanos);
-                        metrics.clear();
-                        for scheme in schemes {
-                            metrics.push(evaluator.die(scheme, map).map_err(RunError::Eval)?);
-                        }
-                        let clock = lap(clock, &mut observe_nanos);
-                        record(planned, metrics);
-                        lap(clock, &mut reduce_nanos);
-                        continue;
-                    }
-
-                    let block = scratch
-                        .generate_block(backend, &seeder, group, max_redraws)
-                        .map_err(|e| RunError::Sim(SimError::from(e)))?;
-                    let clock = lap(clock, &mut gen_nanos);
-                    let width = V::BLOCK_DIES;
-                    for (s, scheme) in schemes.iter().enumerate() {
-                        evaluator.block(scheme, &block, &mut block_out[s * width..(s + 1) * width]);
-                    }
-                    let clock = lap(clock, &mut observe_nanos);
-                    for (j, planned) in group.iter().enumerate() {
-                        metrics.clear();
-                        metrics.extend((0..schemes.len()).map(|s| block_out[s * width + j]));
-                        record(planned, metrics);
-                    }
                     lap(clock, &mut reduce_nanos);
                 }
 
@@ -862,18 +639,18 @@ fn lap(since: Instant, total: &mut u64) -> Instant {
     now
 }
 
-/// The metric a per-die evaluator returns: a bare `f64` (the evaluator
-/// cannot fail) or a `Result<f64, E>` whose error aborts the run as
+/// The value a per-die metric returns: a bare `f64` (the metric cannot
+/// fail) or a `Result<f64, E>` whose error aborts the run as
 /// [`RunError::Eval`].
 pub trait DieMetric {
-    /// The evaluator's error type ([`Infallible`] for a bare `f64`).
+    /// The metric's error type ([`Infallible`] for a bare `f64`).
     type Error: Send;
 
-    /// The metric value, or the evaluator's error.
+    /// The metric value, or the metric's error.
     ///
     /// # Errors
     ///
-    /// Returns the evaluator's error unchanged.
+    /// Returns the metric's error unchanged.
     fn into_result(self) -> Result<f64, Self::Error>;
 }
 
@@ -890,110 +667,6 @@ impl<E: Send> DieMetric for Result<f64, E> {
 
     fn into_result(self) -> Result<f64, E> {
         self
-    }
-}
-
-/// How [`Campaign::execute`] evaluates sampled dies. Build one with
-/// [`per_die`] or [`blocks`].
-pub trait Evaluator<S>: Sync {
-    /// Error type of the per-die metric.
-    type Error: Send;
-    /// Dies evaluated together as one block; `1` evaluates die by die.
-    const BLOCK_DIES: usize;
-
-    /// The metric of one die under `scheme`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the evaluator's error, which aborts the run.
-    fn die(&self, scheme: &S, map: &FaultMap) -> Result<f64, Self::Error>;
-
-    /// Fills `out[j]` with die `j`'s metric under `scheme` for every die
-    /// of `block`.
-    fn block(&self, scheme: &S, block: &DieBlock<'_>, out: &mut [f64]);
-}
-
-/// A borrowed evaluator runs exactly like the owned one, so one evaluator
-/// can drive several campaigns.
-impl<S, V: Evaluator<S>> Evaluator<S> for &V {
-    type Error = V::Error;
-    const BLOCK_DIES: usize = V::BLOCK_DIES;
-
-    fn die(&self, scheme: &S, map: &FaultMap) -> Result<f64, V::Error> {
-        (**self).die(scheme, map)
-    }
-
-    fn block(&self, scheme: &S, block: &DieBlock<'_>, out: &mut [f64]) {
-        (**self).block(scheme, block, out);
-    }
-}
-
-/// A per-die evaluator (see [`per_die`]).
-#[derive(Debug, Clone, Copy)]
-pub struct PerDie<F>(F);
-
-/// A block evaluator with a per-die tail (see [`blocks`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Blocks<F, G> {
-    die: F,
-    block: G,
-}
-
-/// Evaluates every die on its own: `metric(scheme, map)` returns an `f64`
-/// or a `Result<f64, E>` (see [`DieMetric`]).
-pub fn per_die<S, F, M>(metric: F) -> PerDie<F>
-where
-    F: Fn(&S, &FaultMap) -> M + Sync,
-    M: DieMetric,
-{
-    PerDie(metric)
-}
-
-/// Evaluates dies up to [`W256::LANES`] at a time: `block(scheme, block,
-/// out)` fills `out[j]` with die `j`'s metric, and a lone sample left at
-/// the end of a chunk takes `metric(scheme, map)` instead, so any
-/// `(samples, chunk size, shard)` plan works.
-pub fn blocks<S, F, M, G>(metric: F, block: G) -> Blocks<F, G>
-where
-    F: Fn(&S, &FaultMap) -> M + Sync,
-    M: DieMetric,
-    G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
-{
-    Blocks { die: metric, block }
-}
-
-impl<S, F, M> Evaluator<S> for PerDie<F>
-where
-    F: Fn(&S, &FaultMap) -> M + Sync,
-    M: DieMetric,
-{
-    type Error = M::Error;
-    const BLOCK_DIES: usize = 1;
-
-    fn die(&self, scheme: &S, map: &FaultMap) -> Result<f64, M::Error> {
-        (self.0)(scheme, map).into_result()
-    }
-
-    fn block(&self, _: &S, _: &DieBlock<'_>, _: &mut [f64]) {
-        unreachable!("one-die groups always take the per-die path")
-    }
-}
-
-impl<S, F, M, G> Evaluator<S> for Blocks<F, G>
-where
-    F: Fn(&S, &FaultMap) -> M + Sync,
-    M: DieMetric,
-    G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
-{
-    type Error = M::Error;
-    const BLOCK_DIES: usize = W256::LANES;
-
-    fn die(&self, scheme: &S, map: &FaultMap) -> Result<f64, M::Error> {
-        (self.die)(scheme, map).into_result()
-    }
-
-    fn block(&self, scheme: &S, block: &DieBlock<'_>, out: &mut [f64]) {
-        (self.block)(scheme, block, out);
     }
 }
 
@@ -1028,7 +701,7 @@ mod tests {
         metric: impl Fn(&Scheme, &FaultMap) -> f64 + Sync,
     ) -> CollectRecords {
         campaign
-            .execute(schemes, seed, shard, per_die(metric), CollectRecords::new)
+            .execute(schemes, seed, shard, metric, CollectRecords::new)
             .unwrap()
             .0
     }
@@ -1196,13 +869,13 @@ mod tests {
             &[Scheme::unprotected32()],
             1,
             ShardSpec::solo(),
-            per_die(|_: &Scheme, map: &FaultMap| {
+            |_: &Scheme, map: &FaultMap| {
                 if map.fault_count() >= 3 {
                     Err("too many faults")
                 } else {
                     Ok(0.0)
                 }
-            }),
+            },
             CollectRecords::new,
         );
         assert_eq!(result.unwrap_err(), RunError::Eval("too many faults"));
@@ -1215,13 +888,7 @@ mod tests {
         let metric = |_: &Scheme, map: &FaultMap| map.fault_count() as f64;
         // No recorder installed: the delta is empty, the clock still runs.
         let (plain, stats) = campaign
-            .execute(
-                &schemes,
-                4,
-                ShardSpec::solo(),
-                per_die(metric),
-                CollectRecords::new,
-            )
+            .execute(&schemes, 4, ShardSpec::solo(), metric, CollectRecords::new)
             .unwrap();
         assert!(stats.generation_seconds > 0.0);
         assert_eq!(stats.metrics, obs::MetricsSnapshot::default());
@@ -1229,13 +896,7 @@ mod tests {
         let recorder = std::sync::Arc::new(obs::Recorder::new());
         let _guard = obs::install(&recorder);
         let (recorded, stats) = campaign
-            .execute(
-                &schemes,
-                4,
-                ShardSpec::solo(),
-                per_die(metric),
-                CollectRecords::new,
-            )
+            .execute(&schemes, 4, ShardSpec::solo(), metric, CollectRecords::new)
             .unwrap();
         assert_eq!(recorded, plain);
         assert_eq!(stats.metrics.counter(obs::Counter::SamplesEvaluated), 60);
@@ -1409,192 +1070,6 @@ mod tests {
             ));
         }
         assert_eq!(merged, monolithic);
-    }
-
-    #[test]
-    fn kernel_kind_parses_and_displays() {
-        assert_eq!(KernelKind::ALL.len(), 3);
-        for kernel in KernelKind::ALL {
-            assert_eq!(kernel.as_str().parse::<KernelKind>().unwrap(), kernel);
-            assert_eq!(kernel.to_string(), kernel.as_str());
-        }
-        assert_eq!(KernelKind::default(), KernelKind::Sparse);
-        let error = "simd".parse::<KernelKind>().unwrap_err().to_string();
-        assert!(
-            error.contains("sparse|bitsliced256|auto"),
-            "the unknown-kernel error must list the full valid set: {error}"
-        );
-        for removed in KernelKind::REMOVED {
-            let error = removed.parse::<KernelKind>().unwrap_err().to_string();
-            assert!(
-                error.contains(&format!("kernel '{removed}' was removed")),
-                "{error}"
-            );
-        }
-    }
-
-    #[test]
-    fn auto_kernel_resolves_by_fault_density() {
-        let default = AUTO_FAULTS_PER_ROW_THRESHOLD;
-        // Fixed kernels resolve to themselves regardless of density.
-        for kernel in [KernelKind::Sparse, KernelKind::Bitsliced256] {
-            assert_eq!(kernel.resolve(1e9, 128, default), kernel);
-            assert_eq!(kernel.resolve(0.0, 128, default), kernel);
-        }
-        // Auto flips exactly at rows / 16 expected faults per die.
-        let rows = 4096usize;
-        let threshold = rows as f64 * default;
-        assert_eq!(
-            KernelKind::Auto.resolve(threshold, rows, default),
-            KernelKind::Bitsliced256
-        );
-        assert_eq!(
-            KernelKind::Auto.resolve(threshold - 1.0, rows, default),
-            KernelKind::Sparse
-        );
-        // Degenerate geometry falls back to sparse.
-        assert_eq!(
-            KernelKind::Auto.resolve(10.0, 0, default),
-            KernelKind::Sparse
-        );
-    }
-
-    #[test]
-    fn expected_faults_per_die_follows_the_campaign_plan() {
-        // An exact-failure campaign injects that count into every die.
-        let exact = config().with_exact_failures(8192);
-        assert_eq!(exact.expected_faults_per_die().unwrap(), 8192.0);
-        // A swept campaign averages the uniform 1..=n_max plan.
-        let swept = config().with_max_failures(13);
-        assert_eq!(swept.expected_faults_per_die().unwrap(), 7.0);
-    }
-
-    #[test]
-    fn auto_kernel_resolution_tracks_the_campaign_density() {
-        // 3 expected faults ((1 + 5) / 2) over 128 rows is below the
-        // 8-per-die threshold (128 / 16) → sparse; the same campaign over an
-        // 8-row memory crosses its 0.5-per-die threshold → bitsliced256.
-        let sparse = config().with_max_failures(5).with_kernel(KernelKind::Auto);
-        assert_eq!(sparse.kernel(), KernelKind::Auto);
-        assert_eq!(sparse.resolved_kernel().unwrap(), KernelKind::Sparse);
-        let dense = CampaignConfig::new(MemoryConfig::new(8, 32).unwrap(), 1e-3)
-            .unwrap()
-            .with_max_failures(5)
-            .with_kernel(KernelKind::Auto);
-        assert_eq!(dense.resolved_kernel().unwrap(), KernelKind::Bitsliced256);
-        // Fixed kernels resolve to themselves on either side of the
-        // threshold; the default configuration runs sparse.
-        assert_eq!(config().resolved_kernel().unwrap(), KernelKind::Sparse);
-        for kernel in [KernelKind::Sparse, KernelKind::Bitsliced256] {
-            assert_eq!(
-                sparse.with_kernel(kernel).resolved_kernel().unwrap(),
-                kernel
-            );
-            assert_eq!(dense.with_kernel(kernel).resolved_kernel().unwrap(), kernel);
-        }
-        // An `--auto-threshold` override moves the break-even: 3 faults per
-        // die over 128 rows reaches 1/64 fault per row (2 per die) but not
-        // 1/32 (4 per die).
-        let low = sparse.with_auto_threshold(Some(1.0 / 64.0));
-        assert_eq!(low.auto_threshold(), Some(1.0 / 64.0));
-        assert_eq!(low.resolved_kernel().unwrap(), KernelKind::Bitsliced256);
-        let high = low.with_auto_threshold(Some(1.0 / 32.0));
-        assert_eq!(high.resolved_kernel().unwrap(), KernelKind::Sparse);
-        // An exact-failure campaign resolves from its exact count, not from
-        // the swept midpoint: 8 faults per die over 128 rows is dense,
-        // although the 1..=5 sweep the config also carries is not.
-        let exact = sparse.with_exact_failures(8);
-        assert_eq!(exact.exact_failures(), Some(8));
-        assert_eq!(exact.resolved_kernel().unwrap(), KernelKind::Bitsliced256);
-        assert_eq!(
-            sparse.with_exact_failures(7).resolved_kernel().unwrap(),
-            KernelKind::Sparse
-        );
-    }
-
-    #[test]
-    fn block_scheduling_matches_the_per_sample_pipeline() {
-        // A per-die metric computable from both representations: the die's
-        // fault count. The block path must reproduce the per-sample path's
-        // records exactly — indices, weights, metric values, order — for
-        // non-multiple-of-lane-width plans, any shard split and both map
-        // policies.
-        use faultmit_memsim::{Backend, BackendKind};
-        let count_block = |_: &Scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-            out[..block.die_count()].fill(0.0);
-            for row in block.rows() {
-                for cell in row.cells {
-                    cell.presence().for_each_die(|die| out[die] += 1.0);
-                }
-            }
-        };
-        let count_sample = |_: &Scheme, map: &FaultMap| map.fault_count() as f64;
-        let schemes = [Scheme::unprotected32(), Scheme::shuffle32(3).unwrap()];
-        for kind in [BackendKind::Sram, BackendKind::Dram] {
-            for policy in [
-                MapPolicy::Unrestricted,
-                MapPolicy::SingleFaultPerRow { max_redraws: 50 },
-            ] {
-                let backend =
-                    Backend::at_p_cell(kind, MemoryConfig::new(128, 32).unwrap(), 1e-3).unwrap();
-                // 49 samples per count × 13 counts = 637 samples: the
-                // first 513-sample chunk splits into two full 256-die
-                // blocks plus a lone per-die tail, and the last chunk
-                // leaves a 124-die block that ends inside its second lane
-                // word.
-                let base = CampaignConfig::for_backend(backend)
-                    .unwrap()
-                    .with_samples_per_count(49)
-                    .with_max_failures(13)
-                    .with_chunk_size(513)
-                    .with_map_policy(policy);
-                let campaign = Campaign::new(base);
-                let reference = collect(&campaign, &schemes, 23, ShardSpec::solo(), count_sample);
-                for shard_count in [1usize, 2] {
-                    let mut merged = CollectRecords::new();
-                    for index in 0..shard_count {
-                        let shard = ShardSpec::new(index, shard_count).unwrap();
-                        let (part, _) = campaign
-                            .execute(
-                                &schemes,
-                                23,
-                                shard,
-                                blocks(count_sample, count_block),
-                                CollectRecords::new,
-                            )
-                            .unwrap();
-                        merged.merge(part);
-                    }
-                    assert_eq!(merged, reference, "{kind} {policy:?} {shard_count} shards");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn block_scheduling_takes_the_scalar_tail_for_lone_samples() {
-        // chunk_size 1 forces every group down the scalar tail; results
-        // must still match.
-        let campaign = Campaign::new(config().with_chunk_size(1));
-        let schemes = [Scheme::unprotected32()];
-        let reference = collect(&campaign, &schemes, 3, ShardSpec::solo(), |_, map| {
-            map.fault_count() as f64
-        });
-        let (lone, _) = campaign
-            .execute(
-                &schemes,
-                3,
-                ShardSpec::solo(),
-                blocks(
-                    |_: &Scheme, map: &FaultMap| map.fault_count() as f64,
-                    |_, _: &DieBlock<'_>, _: &mut [f64]| {
-                        panic!("single-sample groups must use the scalar tail")
-                    },
-                ),
-                CollectRecords::new,
-            )
-            .unwrap();
-        assert_eq!(lone, reference);
     }
 
     #[test]

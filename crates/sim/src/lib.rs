@@ -23,14 +23,14 @@
 //! processes.
 //!
 //! [`Campaign::execute`] is the one run entry point. It evaluates one
-//! [`ShardSpec`] of the campaign with an evaluator built by [`per_die`] or
-//! [`blocks`], and returns the merged accumulator with the shard's
+//! [`ShardSpec`] of the campaign, scoring every die under every scheme with
+//! a per-die metric, and returns the merged accumulator with the shard's
 //! [`ShardStats`]:
 //!
 //! ```
 //! use faultmit_core::Scheme;
 //! use faultmit_memsim::MemoryConfig;
-//! use faultmit_sim::{per_die, Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec};
+//! use faultmit_sim::{Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = CampaignConfig::new(MemoryConfig::new(256, 32)?, 1e-3)?
@@ -43,9 +43,9 @@
 //!     &schemes,
 //!     42,
 //!     ShardSpec::solo(),
-//!     per_die(|scheme: &Scheme, map| {
+//!     |scheme: &Scheme, map: &faultmit_memsim::FaultMap| {
 //!         faultmit_core::MitigationScheme::observe(scheme, map, 0, 0).value as f64
-//!     }),
+//!     },
 //!     CollectRecords::new,
 //! )?;
 //! // 4 failure counts × 5 samples, each evaluated under both schemes.
@@ -67,7 +67,7 @@
 //! ```
 //! use faultmit_core::Scheme;
 //! use faultmit_memsim::MemoryConfig;
-//! use faultmit_sim::{per_die, Accumulator, Campaign, CampaignConfig, CollectRecords, ShardSpec};
+//! use faultmit_sim::{Accumulator, Campaign, CampaignConfig, CollectRecords, ShardSpec};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = CampaignConfig::new(MemoryConfig::new(256, 32)?, 1e-3)?
@@ -77,7 +77,7 @@
 //! let campaign = Campaign::new(config);
 //! let schemes = [Scheme::unprotected32()];
 //! let metric = |_: &Scheme, map: &faultmit_memsim::FaultMap| map.fault_count() as f64;
-//! let run = |shard| campaign.execute(&schemes, 7, shard, per_die(metric), CollectRecords::new);
+//! let run = |shard| campaign.execute(&schemes, 7, shard, metric, CollectRecords::new);
 //!
 //! let (monolithic, _) = run(ShardSpec::solo())?;
 //! let mut merged = CollectRecords::new();
@@ -119,9 +119,6 @@ pub mod error;
 pub mod executor;
 
 pub use accumulate::{Accumulator, CollectRecords, PairedSample};
-pub use campaign::{
-    blocks, per_die, Blocks, Campaign, CampaignConfig, DieMetric, Evaluator, KernelKind, MapPolicy,
-    PerDie, ShardSpec, ShardStats, AUTO_FAULTS_PER_ROW_THRESHOLD,
-};
+pub use campaign::{Campaign, CampaignConfig, DieMetric, MapPolicy, ShardSpec, ShardStats};
 pub use error::{RunError, SimError};
 pub use executor::{run_chunked, run_chunked_with, Parallelism};

@@ -8,7 +8,7 @@ use faultmit::analysis::MonteCarloEngine;
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig, SramVddBackend};
-use faultmit::sim::{per_die, Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec};
+use faultmit::sim::{Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec};
 
 const SEED: u64 = 0xD373_1213;
 
@@ -61,7 +61,7 @@ fn raw_record_stream_is_independent_of_chunking_and_workers() {
             &schemes,
             SEED,
             ShardSpec::solo(),
-            per_die(faultmit::analysis::memory_mse),
+            faultmit::analysis::memory_mse,
             CollectRecords::new,
         )
         .unwrap()
@@ -76,7 +76,7 @@ fn raw_record_stream_is_independent_of_chunking_and_workers() {
             &schemes,
             SEED,
             ShardSpec::solo(),
-            per_die(faultmit::analysis::memory_mse),
+            faultmit::analysis::memory_mse,
             CollectRecords::new,
         )
         .unwrap()
@@ -100,7 +100,7 @@ fn different_seeds_produce_different_populations() {
             &scheme,
             1,
             ShardSpec::solo(),
-            per_die(faultmit::analysis::memory_mse),
+            faultmit::analysis::memory_mse,
             CollectRecords::new,
         )
         .unwrap()
@@ -110,7 +110,7 @@ fn different_seeds_produce_different_populations() {
             &scheme,
             2,
             ShardSpec::solo(),
-            per_die(faultmit::analysis::memory_mse),
+            faultmit::analysis::memory_mse,
             CollectRecords::new,
         )
         .unwrap()
@@ -138,7 +138,7 @@ fn every_backend_is_bit_identical_serial_vs_threaded_at_any_chunk_size() {
                 &schemes,
                 SEED,
                 ShardSpec::solo(),
-                per_die(faultmit::analysis::memory_mse),
+                faultmit::analysis::memory_mse,
                 CollectRecords::new,
             )
             .unwrap()
@@ -154,7 +154,7 @@ fn every_backend_is_bit_identical_serial_vs_threaded_at_any_chunk_size() {
                 &schemes,
                 SEED,
                 ShardSpec::solo(),
-                per_die(faultmit::analysis::memory_mse),
+                faultmit::analysis::memory_mse,
                 CollectRecords::new,
             )
             .unwrap()
@@ -282,52 +282,48 @@ fn application_quality_campaign_is_bit_identical_serial_vs_threaded() {
 #[test]
 fn metrics_counter_snapshots_are_bit_identical_serial_vs_threaded() {
     // The observability gate: every deterministic counter (dies and faults
-    // generated, kernel dispatches, observe rows, ECC decodes — everything
+    // generated, samples and chunks evaluated, ECC decodes — everything
     // except the host-dependent realloc and wall-clock channels) must be
     // bit-identical whether the campaign runs serially or on N workers,
-    // for every backend and evaluation kernel. Counter sums are
-    // order-independent u64 adds, so worker scheduling cannot move them.
+    // for every backend. Counter sums are order-independent u64 adds, so
+    // worker scheduling cannot move them.
     use faultmit::obs;
-    use faultmit::sim::KernelKind;
     let memory = MemoryConfig::new(256, 32).unwrap();
     let schemes = [Scheme::unprotected32(), Scheme::shuffle32(2).unwrap()];
     for kind in BackendKind::ALL {
-        for kernel in KernelKind::ALL {
-            let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
-            let run = |parallelism| {
-                let recorder = std::sync::Arc::new(obs::Recorder::new());
-                let guard = obs::install(&recorder);
-                MonteCarloEngine::new(
-                    CampaignConfig::for_backend(backend)
-                        .unwrap()
-                        .with_samples_per_count(10)
-                        .with_max_failures(8)
-                        .with_kernel(kernel)
-                        .with_parallelism(parallelism),
-                )
-                .run_catalogue(&schemes, SEED)
-                .unwrap();
-                drop(guard);
-                recorder.snapshot()
-            };
-            let serial = run(Parallelism::Serial);
-            assert!(
-                serial.counter(obs::Counter::SamplesEvaluated) > 0,
-                "{kind}/{kernel}: the pipeline must actually record samples"
+        let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
+        let run = |parallelism| {
+            let recorder = std::sync::Arc::new(obs::Recorder::new());
+            let guard = obs::install(&recorder);
+            MonteCarloEngine::new(
+                CampaignConfig::for_backend(backend)
+                    .unwrap()
+                    .with_samples_per_count(10)
+                    .with_max_failures(8)
+                    .with_parallelism(parallelism),
+            )
+            .run_catalogue(&schemes, SEED)
+            .unwrap();
+            drop(guard);
+            recorder.snapshot()
+        };
+        let serial = run(Parallelism::Serial);
+        assert!(
+            serial.counter(obs::Counter::SamplesEvaluated) > 0,
+            "{kind}: the pipeline must actually record samples"
+        );
+        for workers in [2usize, 4] {
+            let threaded = run(Parallelism::threads(workers));
+            assert_eq!(
+                serial.deterministic_counters(),
+                threaded.deterministic_counters(),
+                "{kind}: {workers} workers"
             );
-            for workers in [2usize, 4] {
-                let threaded = run(Parallelism::threads(workers));
-                assert_eq!(
-                    serial.deterministic_counters(),
-                    threaded.deterministic_counters(),
-                    "{kind}/{kernel}: {workers} workers"
-                );
-                // Histogram buckets are order-independent sums too.
-                assert_eq!(
-                    serial.histograms, threaded.histograms,
-                    "{kind}/{kernel}: {workers} workers"
-                );
-            }
+            // Histogram buckets are order-independent sums too.
+            assert_eq!(
+                serial.histograms, threaded.histograms,
+                "{kind}: {workers} workers"
+            );
         }
     }
 }

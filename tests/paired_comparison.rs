@@ -13,7 +13,7 @@
 use faultmit::analysis::memory_mse;
 use faultmit::core::{Scheme, SegmentGeometry};
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
-use faultmit::sim::{per_die, Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec};
+use faultmit::sim::{Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,7 +53,7 @@ fn shuffling_never_exceeds_unprotected_mse_on_shared_dies() {
                 &schemes,
                 0xBEEF ^ case,
                 ShardSpec::solo(),
-                per_die(memory_mse),
+                memory_mse,
                 CollectRecords::new,
             )
             .unwrap()
@@ -97,7 +97,7 @@ fn shuffling_never_exceeds_unprotected_mse_on_any_backend() {
                     &schemes,
                     0xBAC2 + n_fm as u64,
                     ShardSpec::solo(),
-                    per_die(memory_mse),
+                    memory_mse,
                     CollectRecords::new,
                 )
                 .unwrap()
@@ -134,7 +134,7 @@ fn finer_segments_never_lose_on_shared_single_fault_dies() {
             &schemes,
             0x51CE,
             ShardSpec::solo(),
-            per_die(memory_mse),
+            memory_mse,
             CollectRecords::new,
         )
         .unwrap()

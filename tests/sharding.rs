@@ -9,7 +9,7 @@ use faultmit::analysis::{CatalogueAccumulator, MonteCarloEngine};
 use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
 use faultmit::sim::{
-    per_die, Accumulator, Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec,
+    Accumulator, Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec,
 };
 
 const SEED: u64 = 0x5AAD_0003;
@@ -36,7 +36,7 @@ fn every_backend_shards_bit_identically_at_every_split() {
                 &schemes,
                 SEED,
                 ShardSpec::solo(),
-                per_die(faultmit::analysis::memory_mse),
+                faultmit::analysis::memory_mse,
                 CollectRecords::new,
             )
             .unwrap()
@@ -53,7 +53,7 @@ fn every_backend_shards_bit_identically_at_every_split() {
                             &schemes,
                             SEED,
                             shard,
-                            per_die(faultmit::analysis::memory_mse),
+                            faultmit::analysis::memory_mse,
                             CollectRecords::new,
                         )
                         .unwrap()
@@ -192,7 +192,7 @@ fn shards_are_worker_count_independent() {
                 &schemes,
                 SEED,
                 shard,
-                per_die(faultmit::analysis::memory_mse),
+                faultmit::analysis::memory_mse,
                 CollectRecords::new,
             )
             .unwrap()
@@ -202,7 +202,7 @@ fn shards_are_worker_count_independent() {
                 &schemes,
                 SEED,
                 shard,
-                per_die(faultmit::analysis::memory_mse),
+                faultmit::analysis::memory_mse,
                 CollectRecords::new,
             )
             .unwrap()
