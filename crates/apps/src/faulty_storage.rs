@@ -100,6 +100,35 @@ impl<'a, S: MitigationScheme> FaultyStore<'a, S> {
         Matrix::from_vec(matrix.rows(), matrix.cols(), corrupted)
     }
 
+    /// Sparse twin of [`FaultyStore::round_trip_matrix`]: re-reads only the
+    /// values that land in a fault-bearing row.
+    ///
+    /// `read_back` must hold the fault-free round trip of `values` (their
+    /// quantisation). Every value in a faulty row is encoded and passed
+    /// through the scheme — its allocation-free `observe_sparse` path,
+    /// falling back to `observe` — and overwritten in `read_back` when the
+    /// word's bits changed, so the result is bit-identical to the dense
+    /// round trip. Returns whether any word's bits changed.
+    pub(crate) fn patch_faulty_rows(&self, values: &[f64], read_back: &mut [f64]) -> bool {
+        debug_assert_eq!(values.len(), read_back.len());
+        let rows = self.faults.config().rows();
+        let mut changed = false;
+        for (row, row_faults) in self.faults.rows_with_faults() {
+            for index in (row..values.len()).step_by(rows) {
+                let written = self.format.encode(values[index]);
+                let observed = self
+                    .scheme
+                    .observe_sparse(row_faults, written)
+                    .unwrap_or_else(|| self.scheme.observe(self.faults, row, written));
+                if observed.value != written {
+                    read_back[index] = self.format.decode(observed.value);
+                    changed = true;
+                }
+            }
+        }
+        changed
+    }
+
     /// Number of memory words the given matrix occupies (before wrapping).
     #[must_use]
     pub fn words_required(&self, matrix: &Matrix) -> usize {

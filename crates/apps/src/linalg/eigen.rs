@@ -89,23 +89,27 @@ pub fn jacobi_eigen(matrix: &Matrix, max_sweeps: usize) -> Result<EigenDecomposi
                 let c = 1.0 / (t * t + 1.0).sqrt();
                 let s = t * c;
 
-                for k in 0..n {
-                    let akp = a.get(k, p);
-                    let akq = a.get(k, q);
-                    a.set(k, p, c * akp - s * akq);
-                    a.set(k, q, s * akp + c * akq);
+                // The rotation works on the row-major storage directly:
+                // columns p and q of every row, then rows p and q (p < q).
+                let a_data = a.as_mut_slice();
+                for row in a_data.chunks_exact_mut(n) {
+                    let akp = row[p];
+                    let akq = row[q];
+                    row[p] = c * akp - s * akq;
+                    row[q] = s * akp + c * akq;
                 }
-                for k in 0..n {
-                    let apk = a.get(p, k);
-                    let aqk = a.get(q, k);
-                    a.set(p, k, c * apk - s * aqk);
-                    a.set(q, k, s * apk + c * aqk);
+                let (head, tail) = a_data.split_at_mut(q * n);
+                let row_p = &mut head[p * n..(p + 1) * n];
+                for (apk, aqk) in row_p.iter_mut().zip(&mut tail[..n]) {
+                    let (old_p, old_q) = (*apk, *aqk);
+                    *apk = c * old_p - s * old_q;
+                    *aqk = s * old_p + c * old_q;
                 }
-                for k in 0..n {
-                    let vkp = v.get(k, p);
-                    let vkq = v.get(k, q);
-                    v.set(k, p, c * vkp - s * vkq);
-                    v.set(k, q, s * vkp + c * vkq);
+                for row in v.as_mut_slice().chunks_exact_mut(n) {
+                    let vkp = row[p];
+                    let vkq = row[q];
+                    row[p] = c * vkp - s * vkq;
+                    row[q] = s * vkp + c * vkq;
                 }
             }
         }

@@ -19,10 +19,16 @@
 //! default; pass `--force-worker-sweep` (the vendored harness ignores
 //! unknown flags) to measure the full 1/2/4/8 sweep regardless, and read
 //! the `host_cpus` stamp inside each JSON section to interpret the rows.
+//! An `apps` section times the default Fig. 7 campaign (`fig7_quality`
+//! without flags) single-threaded, one row per benchmark: die × scheme
+//! evaluations per second and the share of them the residual-free
+//! shortcut answers without fitting a model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use faultmit_analysis::{memory_mse_sparse_with, MonteCarloEngine};
+use faultmit_bench::figures::{find_figure, Fig7Campaign, FigureSpec};
 use faultmit_bench::json::{JsonValue, ToJson};
+use faultmit_bench::RunOptions;
 use faultmit_core::Scheme;
 use faultmit_memsim::{FaultKindLaw, FaultMap, ImageSpec, MemoryConfig, SramVddBackend};
 use faultmit_obs as obs;
@@ -291,6 +297,75 @@ fn kernel_rows() -> Vec<KernelRow> {
     rows
 }
 
+/// One `apps` row: the default Fig. 7 campaign of one benchmark panel.
+struct AppsRow {
+    benchmark: &'static str,
+    evaluations_per_campaign: u64,
+    mean_seconds_per_campaign: f64,
+    evaluations_per_second: f64,
+    fits_skipped_share: f64,
+}
+
+impl ToJson for AppsRow {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("benchmark", self.benchmark.to_json()),
+            (
+                "evaluations_per_campaign",
+                self.evaluations_per_campaign.to_json(),
+            ),
+            (
+                "mean_seconds_per_campaign",
+                self.mean_seconds_per_campaign.to_json(),
+            ),
+            (
+                "evaluations_per_second",
+                self.evaluations_per_second.to_json(),
+            ),
+            ("fits_skipped_share", self.fits_skipped_share.to_json()),
+        ])
+    }
+}
+
+/// Times each benchmark panel of a Fig. 7 spec, single-threaded: one
+/// warm-up campaign, then the mean of the timed repetitions. The evaluation
+/// and skipped-fit counts come from the warm-up's own recorder.
+fn apps_rows(spec: &FigureSpec) -> Vec<AppsRow> {
+    const REPS: u32 = 3;
+    spec.benchmarks
+        .iter()
+        .map(|&benchmark| {
+            let panel = FigureSpec {
+                benchmarks: vec![benchmark],
+                ..spec.clone()
+            };
+            let campaign =
+                Fig7Campaign::from_spec(&panel, Parallelism::Serial).expect("valid fig7 spec");
+            let run = || campaign.run_shard(ShardSpec::solo()).unwrap();
+            let recorder = std::sync::Arc::new(obs::Recorder::new());
+            let guard = obs::install(&recorder);
+            std::hint::black_box(run());
+            drop(guard);
+            let snapshot = recorder.snapshot();
+            let fits = snapshot.counter(obs::Counter::AppFits);
+            let skipped = snapshot.counter(obs::Counter::AppFitsSkipped);
+            let started = Instant::now();
+            for _ in 0..REPS {
+                std::hint::black_box(run());
+            }
+            let seconds = started.elapsed().as_secs_f64() / f64::from(REPS);
+            let evaluations = fits + skipped;
+            AppsRow {
+                benchmark: benchmark.name(),
+                evaluations_per_campaign: evaluations,
+                mean_seconds_per_campaign: seconds,
+                evaluations_per_second: evaluations as f64 / seconds,
+                fits_skipped_share: skipped as f64 / evaluations as f64,
+            }
+        })
+        .collect()
+}
+
 /// Times the reduced Fig. 5 campaign at 1/2/4/8 workers plus the kernel
 /// rows and writes both series as
 /// `BENCH_pipeline.json` — the ROADMAP's throughput baseline, reproducible
@@ -372,6 +447,21 @@ fn bench_throughput_json(_c: &mut Criterion) {
         );
     }
 
+    println!("\n== group: pipeline_apps (BENCH_pipeline.json) ==");
+    let fig7_spec = find_figure("fig7")
+        .expect("fig7 is registered")
+        .spec(&RunOptions::default());
+    let apps = apps_rows(&fig7_spec);
+    for row in &apps {
+        println!(
+            "fig7 {:<10} {:>10.2} ms/campaign   ({:>8.1} evaluations/s, {:.1}% fits skipped)",
+            row.benchmark,
+            row.mean_seconds_per_campaign * 1e3,
+            row.evaluations_per_second,
+            row.fits_skipped_share * 100.0,
+        );
+    }
+
     // Each section carries its own `host_cpus` stamp so a row set stays
     // interpretable when sections from different hosts are compared side by
     // side (and so the worker sweep records why rows above the CPU count
@@ -393,6 +483,15 @@ fn bench_throughput_json(_c: &mut Criterion) {
             JsonValue::object([
                 ("host_cpus", host_cpus.to_json()),
                 ("rows", kernels.to_json()),
+            ]),
+        ),
+        (
+            "apps",
+            JsonValue::object([
+                ("host_cpus", host_cpus.to_json()),
+                ("threads", 1usize.to_json()),
+                ("spec", fig7_spec.to_json()),
+                ("rows", apps.to_json()),
             ]),
         ),
         (

@@ -106,13 +106,19 @@ pub enum Counter {
     /// (`analysis::YieldModel::yield_at_quality`); the work count behind
     /// the yield-threshold search's complexity gate.
     YieldObservationsVisited,
+    /// Fig. 7 application models fitted on a training set that the die
+    /// corrupted.
+    AppFits,
+    /// Fig. 7 evaluations answered without a fit because every stored
+    /// training word read back intact (the baseline's own training set).
+    AppFitsSkipped,
     /// Generation calls that grew a scratch container (warm-up, or a
     /// steady-state regression). Per-worker, therefore host-dependent.
     ReallocEvents,
 }
 
 /// Number of [`Counter`] variants (the length of [`Counter::ALL`]).
-pub const COUNTER_COUNT: usize = 8;
+pub const COUNTER_COUNT: usize = 10;
 
 impl Counter {
     /// Every counter, in declaration (and serialisation) order.
@@ -124,6 +130,8 @@ impl Counter {
         Self::EccCleanDecodes,
         Self::EccFullDecodes,
         Self::YieldObservationsVisited,
+        Self::AppFits,
+        Self::AppFitsSkipped,
         Self::ReallocEvents,
     ];
 
@@ -138,6 +146,8 @@ impl Counter {
             Self::EccCleanDecodes => "ecc_clean_decodes",
             Self::EccFullDecodes => "ecc_full_decodes",
             Self::YieldObservationsVisited => "yield_observations_visited",
+            Self::AppFits => "app_fits",
+            Self::AppFitsSkipped => "app_fits_skipped",
             Self::ReallocEvents => "realloc_events",
         }
     }

@@ -327,3 +327,56 @@ fn metrics_counter_snapshots_are_bit_identical_serial_vs_threaded() {
         }
     }
 }
+
+#[test]
+fn fig7_work_counters_are_bit_identical_serial_vs_threaded() {
+    // The Fig. 7 work counters (models fitted, evaluations answered by the
+    // residual-free shortcut) are pure functions of the campaign's dies, so
+    // they must not move with the worker count on any backend; every
+    // die × scheme evaluation lands in exactly one of them.
+    use faultmit::obs;
+    let schemes = [
+        Scheme::unprotected32(),
+        Scheme::pecc32(),
+        Scheme::shuffle32(1).unwrap(),
+        Scheme::shuffle32(2).unwrap(),
+        Scheme::secded32(),
+    ];
+    for kind in BackendKind::ALL {
+        let run = |parallelism| {
+            let evaluator = QualityEvaluator::builder(Benchmark::Elasticnet)
+                .samples(96)
+                .memory_rows(128)
+                .parallelism(parallelism)
+                .build()
+                .unwrap();
+            let backend = Backend::at_p_cell(kind, evaluator.memory_config(), 1e-3).unwrap();
+            let recorder = std::sync::Arc::new(obs::Recorder::new());
+            let guard = obs::install(&recorder);
+            evaluator
+                .quality_cdfs_paired_on(&schemes, &backend, 6, 3, SEED, true)
+                .unwrap();
+            drop(guard);
+            recorder.snapshot()
+        };
+        let serial = run(Parallelism::Serial);
+        let dies = serial.counter(obs::Counter::SamplesEvaluated);
+        let fits = serial.counter(obs::Counter::AppFits);
+        let skipped = serial.counter(obs::Counter::AppFitsSkipped);
+        assert!(dies > 0, "{kind}: the campaign must evaluate dies");
+        assert_eq!(fits + skipped, dies * schemes.len() as u64, "{kind}");
+        assert!(fits > 0, "{kind}: unprotected dies must corrupt the data");
+        if kind == BackendKind::Sram {
+            // One fault per word at most: SECDED corrects every die.
+            assert!(skipped >= dies, "{kind}: {skipped} skipped, {dies} dies");
+        }
+        for workers in [2usize, 4] {
+            let threaded = run(Parallelism::threads(workers));
+            assert_eq!(
+                serial.deterministic_counters(),
+                threaded.deterministic_counters(),
+                "{kind}: {workers} workers"
+            );
+        }
+    }
+}
