@@ -52,8 +52,5 @@ pub use accumulate::CatalogueAccumulator;
 pub use cdf::{CdfSketch, EmpiricalCdf};
 pub use error::AnalysisError;
 pub use mc_engine::{MonteCarloEngine, SchemeMseResult};
-pub use mse::{
-    memory_mse, memory_mse_for_data, memory_mse_sparse, memory_mse_sparse_with, row_squared_error,
-    word_squared_error,
-};
+pub use mse::{memory_mse, memory_mse_for_data, memory_mse_with, word_squared_error};
 pub use yield_model::{QualityBand, YieldModel};

@@ -14,7 +14,7 @@
 use crate::accumulate::CatalogueAccumulator;
 use crate::cdf::EmpiricalCdf;
 use crate::error::AnalysisError;
-use crate::mse::memory_mse_sparse_with;
+use crate::mse::memory_mse_with;
 use crate::yield_model::YieldModel;
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{FaultBackend, ImageSpec, SramVddBackend};
@@ -56,7 +56,7 @@ impl SchemeMseResult {
 ///
 /// The campaign is one [`CampaignConfig`]: the backend, sampling budget and
 /// image all live there, and every die is scored by the event-driven
-/// [`memory_mse_sparse_with`] kernel.
+/// [`memory_mse_with`] kernel.
 #[derive(Debug, Clone)]
 pub struct MonteCarloEngine<B: FaultBackend = SramVddBackend> {
     campaign: Campaign<B>,
@@ -170,9 +170,9 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
             return self.run_campaign(schemes, seed, shard, |row| data[row]);
         }
         match self.config().image() {
-            // `memory_mse_sparse` is `memory_mse_sparse_with` against the
-            // `|_| 0` word source, so the zeros fast path and an explicit
-            // zeros vector share one dispatcher without a bit of drift.
+            // `memory_mse` is `memory_mse_with` against the `|_| 0` word
+            // source, so the zeros fast path and an explicit zeros vector
+            // share one dispatcher without a bit of drift.
             ImageSpec::Zeros => self.run_campaign(schemes, seed, shard, |_| 0),
             spec => {
                 // Self-contained images resolve here; App images propagate
@@ -202,7 +202,7 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
             schemes,
             seed,
             shard,
-            |scheme: &S, map: &_| memory_mse_sparse_with(scheme, map, &written),
+            |scheme: &S, map: &_| memory_mse_with(scheme, map, &written),
             || CatalogueAccumulator::new(schemes.len()),
         );
         Ok(run.map_err(faultmit_sim::SimError::from)?)

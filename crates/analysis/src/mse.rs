@@ -17,16 +17,15 @@
 //! `4^b` over the bit positions that differ — identical to Eq. (6) for the
 //! paper's bit-flip injection model.
 //!
-//! Two kernels compute the same sum. The scalar kernels ([`memory_mse`],
-//! [`memory_mse_for_data`]) drive the generic `observe` path row by row and
-//! serve as the equivalence suite's oracle (no campaign dispatches to them); the
-//! event-driven kernels ([`memory_mse_sparse`], [`memory_mse_sparse_with`])
-//! walk the fault map's sorted row groups once, hand each scheme its row
-//! slice through
-//! [`observe_sparse`](faultmit_core::MitigationScheme::observe_sparse), and
-//! gather written words only for fault-bearing rows. Both accumulate
-//! per-row contributions in ascending row order, so their results are
-//! **bit-identical** (the `kernel_equivalence` integration suite pins this).
+//! [`memory_mse_with`] is the one kernel every campaign runs: it walks the
+//! fault map's sorted row groups once, hands each scheme its row slice, and
+//! queries the written word only for fault-bearing rows. [`memory_mse`] is
+//! that kernel on the all-zeros background. [`memory_mse_for_data`] visits
+//! the same rows against a dense data image and is the equivalence suite's
+//! oracle for image-backed campaigns (no campaign dispatches to it). All
+//! three accumulate per-row contributions in ascending row order, so they
+//! agree **bit for bit** (the `kernel_equivalence` integration suite pins
+//! this).
 
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::FaultMap;
@@ -72,31 +71,15 @@ pub fn word_squared_error(written: u64, observed: u64) -> f64 {
     total
 }
 
-/// Squared error contributed by one row of a faulty memory under a protection
-/// scheme, assuming an all-zeros data background (every bit-flip fault is
-/// observable, matching the paper's injection model).
-#[must_use]
-pub fn row_squared_error<S: MitigationScheme + ?Sized>(
-    scheme: &S,
-    faults: &FaultMap,
-    row: usize,
-) -> f64 {
-    let observed = scheme.observe(faults, row, 0);
-    word_squared_error(0, observed.value)
-}
-
 /// The memory-wide MSE of Eq. (6): the mean over all `R` rows of the squared
-/// error magnitude each row exhibits under the given protection scheme.
+/// error magnitude each row exhibits under the given protection scheme, on
+/// an all-zeros data background (every bit-flip fault is observable,
+/// matching the paper's injection model).
 ///
 /// Rows without faults contribute zero, so only faulty rows are visited.
 #[must_use]
 pub fn memory_mse<S: MitigationScheme + ?Sized>(scheme: &S, faults: &FaultMap) -> f64 {
-    let rows = faults.config().rows() as f64;
-    let total: f64 = faults
-        .faulty_rows()
-        .map(|row| row_squared_error(scheme, faults, row))
-        .sum();
-    total / rows
+    memory_mse_with(scheme, faults, |_| 0)
 }
 
 /// The memory-wide MSE for a specific data image (one value per row), using
@@ -121,35 +104,24 @@ pub fn memory_mse_for_data<S: MitigationScheme + ?Sized>(
     let total: f64 = faults
         .faulty_rows()
         .map(|row| {
-            let observed = scheme.observe(faults, row, data[row]);
+            let observed = scheme.observe(faults.row_faults(row), data[row]);
             word_squared_error(data[row], observed.value)
         })
         .sum();
     total / rows as f64
 }
 
-/// Event-driven twin of [`memory_mse`]: one pass over the fault map's sorted
-/// row groups, evaluating each fault-bearing row through the scheme's
-/// allocation-free
-/// [`observe_sparse`](MitigationScheme::observe_sparse) path (falling back
-/// per row to the generic `observe` when a scheme has no sparse path).
-///
-/// Per-row contributions accumulate in ascending row order, exactly like the
-/// scalar kernel, so the result is bit-identical to [`memory_mse`].
-#[must_use]
-pub fn memory_mse_sparse<S: MitigationScheme + ?Sized>(scheme: &S, faults: &FaultMap) -> f64 {
-    memory_mse_sparse_with(scheme, faults, |_| 0)
-}
-
-/// [`memory_mse_sparse`] against an arbitrary written-word source (a
-/// [`faultmit_memsim::DataImage`] row lookup, a dense slice, ...).
+/// [`memory_mse`] against an arbitrary written-word source (a
+/// [`faultmit_memsim::DataImage`] row lookup, a dense slice, ...): one pass
+/// over the fault map's sorted row groups, each fault-bearing row evaluated
+/// through [`MitigationScheme::observe`] on its fault slice.
 ///
 /// Only fault-bearing rows query `written`, so data images need never be
 /// materialised memory-wide: at sparse fault densities almost every row is
 /// clean and contributes exactly zero. Bit-identical to
 /// [`memory_mse_for_data`] when `written` agrees with the dense image.
 #[must_use]
-pub fn memory_mse_sparse_with<S, W>(scheme: &S, faults: &FaultMap, written: W) -> f64
+pub fn memory_mse_with<S, W>(scheme: &S, faults: &FaultMap, written: W) -> f64
 where
     S: MitigationScheme + ?Sized,
     W: Fn(usize) -> u64,
@@ -157,13 +129,11 @@ where
     let rows = faults.config().rows() as f64;
     // -0.0 is the IEEE additive identity and what `Iterator::sum::<f64>`
     // folds from: a fault-free die must yield the same bits (-0.0, not
-    // +0.0) as the scalar kernel's empty sum.
+    // +0.0) as the dense oracle's empty sum.
     let mut total = -0.0;
     for (row, row_faults) in faults.rows_with_faults() {
         let stored = written(row);
-        let observed = scheme
-            .observe_sparse(row_faults, stored)
-            .unwrap_or_else(|| scheme.observe(faults, row, stored));
+        let observed = scheme.observe(row_faults, stored);
         total += word_squared_error(stored, observed.value);
     }
     total / rows
@@ -304,7 +274,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn sparse_kernel_is_bit_identical_to_the_scalar_kernel() {
+    fn kernel_is_bit_identical_to_the_dense_oracle() {
         // Dense, sparse, multi-fault-per-row and stuck-at maps, every
         // catalogue scheme (plus SECDED), zeros and non-trivial images.
         let cases: Vec<Vec<Fault>> = vec![
@@ -326,62 +296,18 @@ pub(crate) mod tests {
             let image: Vec<u64> = (0..64).map(|r| (r as u64).wrapping_mul(0x9E37)).collect();
             for scheme in &schemes {
                 assert_eq!(
-                    memory_mse_sparse(scheme, &faults).to_bits(),
                     memory_mse(scheme, &faults).to_bits(),
+                    memory_mse_for_data(scheme, &faults, &[0; 64]).to_bits(),
                     "{} (zeros)",
                     scheme.name()
                 );
                 assert_eq!(
-                    memory_mse_sparse_with(scheme, &faults, |row| image[row]).to_bits(),
+                    memory_mse_with(scheme, &faults, |row| image[row]).to_bits(),
                     memory_mse_for_data(scheme, &faults, &image).to_bits(),
                     "{} (data)",
                     scheme.name()
                 );
             }
         }
-    }
-
-    #[test]
-    fn sparse_kernel_falls_back_for_schemes_without_a_sparse_path() {
-        // A custom scheme with no `observe_sparse` override goes through the
-        // generic path inside the sparse kernel and still agrees.
-        struct Invert {
-            bits: usize,
-        }
-        impl MitigationScheme for Invert {
-            fn name(&self) -> String {
-                "invert".to_owned()
-            }
-            fn word_bits(&self) -> usize {
-                self.bits
-            }
-            fn observe(
-                &self,
-                faults: &FaultMap,
-                row: usize,
-                written: u64,
-            ) -> faultmit_core::ObservedWord {
-                let corrupted = faults
-                    .faulty_columns(row)
-                    .iter()
-                    .fold(written, |w, &col| w ^ (1u64 << col));
-                faultmit_core::ObservedWord {
-                    value: corrupted,
-                    reliable: true,
-                }
-            }
-            fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
-                1u64 << bit
-            }
-            fn extra_bits_per_row(&self) -> usize {
-                0
-            }
-        }
-        let scheme = Invert { bits: 32 };
-        let faults = map(&[Fault::bit_flip(2, 9), Fault::bit_flip(40, 1)]);
-        assert_eq!(
-            memory_mse_sparse(&scheme, &faults).to_bits(),
-            memory_mse(&scheme, &faults).to_bits()
-        );
     }
 }

@@ -75,7 +75,7 @@ impl<'a, S: MitigationScheme> FaultyStore<'a, S> {
     pub fn round_trip_value(&self, index: usize, value: f64) -> f64 {
         let row = index % self.faults.config().rows();
         let written = self.format.encode(value);
-        let observed = self.scheme.observe(self.faults, row, written);
+        let observed = self.scheme.observe(self.faults.row_faults(row), written);
         self.format.decode(observed.value)
     }
 
@@ -104,11 +104,11 @@ impl<'a, S: MitigationScheme> FaultyStore<'a, S> {
     /// values that land in a fault-bearing row.
     ///
     /// `read_back` must hold the fault-free round trip of `values` (their
-    /// quantisation). Every value in a faulty row is encoded and passed
-    /// through the scheme — its allocation-free `observe_sparse` path,
-    /// falling back to `observe` — and overwritten in `read_back` when the
-    /// word's bits changed, so the result is bit-identical to the dense
-    /// round trip. Returns whether any word's bits changed.
+    /// quantisation). Every value in a faulty row is encoded, passed through
+    /// the scheme's `observe` on that row's fault slice, and overwritten in
+    /// `read_back` when the word's bits changed, so the result is
+    /// bit-identical to the dense round trip. Returns whether any word's bits
+    /// changed.
     pub(crate) fn patch_faulty_rows(&self, values: &[f64], read_back: &mut [f64]) -> bool {
         debug_assert_eq!(values.len(), read_back.len());
         let rows = self.faults.config().rows();
@@ -116,10 +116,7 @@ impl<'a, S: MitigationScheme> FaultyStore<'a, S> {
         for (row, row_faults) in self.faults.rows_with_faults() {
             for index in (row..values.len()).step_by(rows) {
                 let written = self.format.encode(values[index]);
-                let observed = self
-                    .scheme
-                    .observe_sparse(row_faults, written)
-                    .unwrap_or_else(|| self.scheme.observe(self.faults, row, written));
+                let observed = self.scheme.observe(row_faults, written);
                 if observed.value != written {
                     read_back[index] = self.format.decode(observed.value);
                     changed = true;

@@ -75,11 +75,17 @@ impl KnnClassifier {
     /// # Errors
     ///
     /// Returns [`AppError::DimensionMismatch`] when `x` and `labels` disagree
-    /// on the sample count or the training set is smaller than `k`.
+    /// on the sample count, `x` has no feature column, or the training set is
+    /// smaller than `k`.
     pub fn fit(&mut self, x: &Matrix, labels: &[usize]) -> Result<(), AppError> {
         if x.rows() != labels.len() {
             return Err(AppError::DimensionMismatch {
                 reason: format!("{} samples but {} labels", x.rows(), labels.len()),
+            });
+        }
+        if x.cols() == 0 {
+            return Err(AppError::DimensionMismatch {
+                reason: "need at least one feature".to_owned(),
             });
         }
         if x.rows() < self.k {
@@ -113,12 +119,10 @@ impl KnnClassifier {
                 ),
             });
         }
-        let mut predictions = Vec::with_capacity(x.rows());
-        for r in 0..x.rows() {
-            let query = x.row(r);
-            predictions.push(self.vote(&query, train_x, train_y));
-        }
-        Ok(predictions)
+        Ok(x.as_slice()
+            .chunks_exact(x.cols())
+            .map(|query| self.vote(query, train_x, train_y))
+            .collect())
     }
 
     /// Classification accuracy on a labelled test set — the paper's "score"
@@ -141,25 +145,36 @@ impl KnnClassifier {
     }
 
     fn vote(&self, query: &[f64], train_x: &Matrix, train_y: &[usize]) -> usize {
-        // Collect squared distances to every training sample.
-        let mut distances: Vec<(f64, usize)> = (0..train_x.rows())
-            .map(|i| {
+        // Squared distance to every training sample, tagged with its index.
+        let mut distances: Vec<(f64, usize)> = train_x
+            .as_slice()
+            .chunks_exact(train_x.cols())
+            .enumerate()
+            .map(|(i, sample)| {
                 let mut d = 0.0;
-                for (c, &q) in query.iter().enumerate().take(train_x.cols()) {
-                    let diff = train_x.get(i, c) - q;
+                for (&t, &q) in sample.iter().zip(query) {
+                    let diff = t - q;
                     d += diff * diff;
                 }
-                (d, train_y[i])
+                (d, i)
             })
             .collect();
-        distances.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are finite"));
+        // The k nearest under (distance, training index) order: the same set
+        // a stable sort by distance would put first, without sorting the rest.
+        if self.k < distances.len() {
+            distances.select_nth_unstable_by(self.k, |a, b| {
+                a.0.partial_cmp(&b.0)
+                    .expect("distances are finite")
+                    .then(a.1.cmp(&b.1))
+            });
+        }
 
         // Majority vote over the k nearest; ties break towards the smaller
         // label for determinism.
         let mut counts: std::collections::BTreeMap<usize, usize> =
             std::collections::BTreeMap::new();
-        for &(_, label) in distances.iter().take(self.k) {
-            *counts.entry(label).or_insert(0) += 1;
+        for &(_, i) in distances.iter().take(self.k) {
+            *counts.entry(train_y[i]).or_insert(0) += 1;
         }
         counts
             .into_iter()
@@ -242,8 +257,56 @@ mod tests {
         let mut knn = KnnClassifier::new(3).unwrap();
         assert!(knn.fit(&x, &y[..3]).is_err());
         assert!(knn.fit(&Matrix::zeros(2, 2), &[0, 1]).is_err()); // fewer than k samples
+        assert!(knn.fit(&Matrix::zeros(4, 0), &[0, 1, 0, 1]).is_err()); // no feature
         knn.fit(&x, &y).unwrap();
         assert!(knn.predict(&Matrix::zeros(1, 5)).is_err());
+    }
+
+    #[test]
+    fn nearest_k_selection_matches_a_full_stable_sort() {
+        // Integer coordinates on a small grid make equal distances common,
+        // so the (distance, index) tie order decides which samples vote.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut points = |n: usize| -> Vec<Vec<f64>> {
+            (0..n)
+                .map(|_| (0..3).map(|_| draw(4) as f64).collect())
+                .collect()
+        };
+        let train = points(40);
+        let queries = points(60);
+        let labels: Vec<usize> = (0..40).map(|_| draw(4) as usize).collect();
+        let train = Matrix::from_rows(&train).unwrap();
+        for k in 1..=9 {
+            let mut knn = KnnClassifier::new(k).unwrap();
+            knn.fit(&train, &labels).unwrap();
+            for query in &queries {
+                let mut sorted: Vec<(f64, usize)> = (0..train.rows())
+                    .map(|i| {
+                        let d = (0..3).map(|c| (train.get(i, c) - query[c]).powi(2)).sum();
+                        (d, labels[i])
+                    })
+                    .collect();
+                sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+                let mut counts = std::collections::BTreeMap::new();
+                for &(_, label) in sorted.iter().take(k) {
+                    *counts.entry(label).or_insert(0usize) += 1;
+                }
+                let expected = counts
+                    .into_iter()
+                    .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+                    .map(|(label, _)| label)
+                    .unwrap();
+                let predicted =
+                    knn.predict(&Matrix::from_rows(std::slice::from_ref(query)).unwrap());
+                assert_eq!(predicted.unwrap(), vec![expected], "k = {k}, {query:?}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! `"datapath"` section, preserving the sections the pipeline bench wrote.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use faultmit_analysis::memory_mse_sparse;
+use faultmit_analysis::memory_mse;
 use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_core::{rotate_left, rotate_right, Scheme, SegmentGeometry, ShuffledMemory};
 use faultmit_ecc::{HammingSecded, PriorityEcc, SecdedCode};
@@ -140,7 +140,7 @@ fn bench_die_pipeline(c: &mut Criterion) {
         b.iter(|| {
             schemes
                 .iter()
-                .map(|scheme| memory_mse_sparse(scheme, black_box(map)))
+                .map(|scheme| memory_mse(scheme, black_box(map)))
                 .sum::<f64>()
         })
     });
@@ -257,7 +257,7 @@ fn bench_datapath_json(_c: &mut Criterion) {
     let evaluate = || {
         schemes
             .iter()
-            .map(|scheme| memory_mse_sparse(scheme, black_box(map)))
+            .map(|scheme| memory_mse(scheme, black_box(map)))
             .sum::<f64>()
     };
     let eval_dies = 4096u64;

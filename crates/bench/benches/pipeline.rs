@@ -25,7 +25,7 @@
 //! shortcut answers without fitting a model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use faultmit_analysis::{memory_mse_sparse_with, MonteCarloEngine};
+use faultmit_analysis::{memory_mse_with, MonteCarloEngine};
 use faultmit_bench::figures::{find_figure, Fig7Campaign, FigureSpec};
 use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_bench::RunOptions;
@@ -193,7 +193,7 @@ fn push_point<W>(
                 schemes,
                 KERNEL_SEED,
                 ShardSpec::solo(),
-                |scheme: &Scheme, map: &FaultMap| memory_mse_sparse_with(scheme, map, &written),
+                |scheme: &Scheme, map: &FaultMap| memory_mse_with(scheme, map, &written),
                 SumMetrics::default,
             )
             .unwrap();

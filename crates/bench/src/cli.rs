@@ -41,7 +41,7 @@
 //! any work, so a typo never silently runs a different campaign.
 //!
 //! Anything else is collected as a positional argument (e.g. the benchmark
-//! selector of `fig7_quality`).
+//! selector of `fig7_quality`, where an unknown name is fatal too).
 
 use crate::json::ToJson;
 use faultmit_memsim::{
@@ -312,7 +312,8 @@ impl RunOptions {
     /// The one flag gate every binary runs before any work: fails with
     /// every malformed flag value, removed flag and bad `--shard` or driver
     /// count, and — given the resolved `spec` of a registered figure — with
-    /// every `--backend`/`--image`/`--kind-law` the figure does not carry.
+    /// every `--backend`/`--image`/`--kind-law` the figure does not carry
+    /// and every unknown `fig7_quality` benchmark selector.
     ///
     /// # Errors
     ///

@@ -11,7 +11,7 @@ use faultmit_analysis::report::{format_sci, Table};
 use faultmit_core::{
     rotate_left, rotate_right, MitigationScheme, ObservedWord, Scheme, SegmentGeometry,
 };
-use faultmit_memsim::{corrupt_word, Backend, FaultMap, MemoryConfig};
+use faultmit_memsim::{corrupt_word, Backend, Fault, MemoryConfig};
 use faultmit_sim::{
     Campaign, CampaignConfig, CollectRecords, PairedSample, Parallelism, ShardSpec,
 };
@@ -55,21 +55,18 @@ impl MitigationScheme for NaiveShuffle {
         self.0.word_bits()
     }
 
-    fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord {
-        let columns = faults.faulty_columns(row);
-        let Some(&msb_fault) = columns.last() else {
+    fn observe(&self, row_faults: &[Fault], written: u64) -> ObservedWord {
+        let Some(msb_fault) = row_faults.last() else {
             return ObservedWord::intact(written);
         };
-        let x_fm = self.0.segment_of_bit(msb_fault);
+        let x_fm = self.0.segment_of_bit(msb_fault.col);
         let shift = self
             .0
             .shift_amount(x_fm)
             .expect("segment index is in range");
         let mut stored = rotate_right(written, shift, self.0.word_bits());
-        for col in columns {
-            if let Some(kind) = faults.fault_at(row, col) {
-                stored = corrupt_word(stored, col, kind);
-            }
+        for fault in row_faults {
+            stored = corrupt_word(stored, fault.col, fault.kind);
         }
         ObservedWord {
             value: rotate_left(stored, shift, self.0.word_bits()),

@@ -203,7 +203,8 @@ impl FigureDef for Fig7Def {
             backend: Some(options.backend_kind()),
             full_scale: options.full_scale,
             samples_per_count: options.samples_or(default_samples),
-            benchmarks: selected_benchmarks(&options.positional),
+            // An unknown selector fails `RunOptions::check` before any work.
+            benchmarks: selected_benchmarks(&options.positional).unwrap_or_default(),
             image: None,
             kind_law: None,
         }

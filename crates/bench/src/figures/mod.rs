@@ -62,23 +62,23 @@ pub type FigureError = Box<dyn std::error::Error>;
 /// Resolves benchmark selectors (`elasticnet`, `pca`, `knn` and their
 /// aliases) into [`Benchmark`]s; an empty selector list selects all three.
 ///
-/// Unknown names are reported on stderr and skipped — the behaviour
-/// `fig7_quality` has always had.
-#[must_use]
-pub fn selected_benchmarks(selectors: &[String]) -> Vec<Benchmark> {
+/// # Errors
+///
+/// Returns a message naming the first selector that resolves to no
+/// benchmark; [`RunOptions::check`] makes it fatal for `fig7_quality`.
+pub fn selected_benchmarks(selectors: &[String]) -> Result<Vec<Benchmark>, String> {
     if selectors.is_empty() {
-        return Benchmark::ALL.to_vec();
+        return Ok(Benchmark::ALL.to_vec());
     }
     selectors
         .iter()
-        .filter_map(|name| match name.to_ascii_lowercase().as_str() {
-            "elasticnet" | "wine" => Some(Benchmark::Elasticnet),
-            "pca" | "madelon" => Some(Benchmark::Pca),
-            "knn" | "har" | "activity" => Some(Benchmark::Knn),
-            other => {
-                eprintln!("unknown benchmark '{other}', expected elasticnet|pca|knn");
-                None
-            }
+        .map(|name| match name.to_ascii_lowercase().as_str() {
+            "elasticnet" | "wine" => Ok(Benchmark::Elasticnet),
+            "pca" | "madelon" => Ok(Benchmark::Pca),
+            "knn" | "har" | "activity" => Ok(Benchmark::Knn),
+            other => Err(format!(
+                "unknown benchmark '{other}', expected elasticnet|pca|knn"
+            )),
         })
         .collect()
 }
@@ -589,8 +589,9 @@ pub fn find_figure(name: &str) -> Result<&'static dyn FigureDef, String> {
 /// Rejects campaign-identity flags (`--backend`/`--image`/`--kind-law`)
 /// that the resolved spec does not carry: a figure that normalises the
 /// flag away would silently run a different campaign than the one the user
-/// asked for — the same policy an unparseable value already gets. Called
-/// through [`RunOptions::check`].
+/// asked for — the same policy an unparseable value already gets. So are
+/// fig7 benchmark selectors that name no benchmark. Called through
+/// [`RunOptions::check`].
 pub(crate) fn check_identity_flags(spec: &FigureSpec, options: &RunOptions) -> Result<(), String> {
     if options.backend.is_some() && spec.backend != options.backend {
         return Err(format!(
@@ -612,6 +613,11 @@ pub(crate) fn check_identity_flags(spec: &FigureSpec, options: &RunOptions) -> R
              fig9_data_sensitivity do)",
             spec.figure
         ));
+    }
+    // fig7 reads its positional arguments as benchmark selectors: a name
+    // that selects nothing must not silently drop its panel.
+    if spec.figure == fig7::Fig7Def.name() {
+        selected_benchmarks(&options.positional)?;
     }
     Ok(())
 }
@@ -770,12 +776,25 @@ mod tests {
 
     #[test]
     fn benchmark_selection_matches_fig7_behaviour() {
-        assert_eq!(selected_benchmarks(&[]), Benchmark::ALL.to_vec());
+        assert_eq!(selected_benchmarks(&[]), Ok(Benchmark::ALL.to_vec()));
         assert_eq!(
             selected_benchmarks(&["knn".to_owned(), "wine".to_owned()]),
-            vec![Benchmark::Knn, Benchmark::Elasticnet]
+            Ok(vec![Benchmark::Knn, Benchmark::Elasticnet])
         );
-        assert!(selected_benchmarks(&["bogus".to_owned()]).is_empty());
+        let error = selected_benchmarks(&["pca".to_owned(), "bogus".to_owned()]).unwrap_err();
+        assert!(error.contains("'bogus'"), "{error}");
+
+        // An unknown name fails fig7's flag gate instead of dropping a panel.
+        let args = |list: &[&str]| RunOptions::parse(list.iter().map(|s| (*s).to_owned()));
+        let fig7 = find_figure("fig7_quality").unwrap();
+        let typo = args(&["foo", "--samples", "2"]);
+        let error = typo.check(Some(&fig7.spec(&typo))).unwrap_err();
+        assert!(error.contains("unknown benchmark 'foo'"), "{error}");
+        let known = args(&["knn", "wine", "--samples", "2"]);
+        assert!(known.check(Some(&fig7.spec(&known))).is_ok());
+        // Figures without benchmark panels do not read positionals.
+        let fig5 = find_figure("fig5").unwrap();
+        assert!(typo.check(Some(&fig5.spec(&typo))).is_ok());
     }
 
     #[test]

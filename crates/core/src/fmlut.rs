@@ -72,9 +72,8 @@ impl FmLut {
             });
         }
         let mut lut = Self::new(geometry, faults.config().rows());
-        for row in faults.faulty_rows() {
-            let columns = faults.faulty_columns(row);
-            lut.entries[row] = Self::choose_shift(geometry, &columns);
+        for (row, row_faults) in faults.rows_with_faults() {
+            lut.entries[row] = Self::choose_shift(geometry, row_faults.iter().map(|f| f.col));
         }
         Ok(lut)
     }
@@ -101,7 +100,8 @@ impl FmLut {
         }
         let mut lut = Self::new(geometry, report.config().rows());
         for row_report in report.faulty_rows() {
-            lut.entries[row_report.row] = Self::choose_shift(geometry, &row_report.faulty_columns);
+            lut.entries[row_report.row] =
+                Self::choose_shift(geometry, row_report.faulty_columns.iter().copied());
         }
         Ok(lut)
     }
@@ -112,12 +112,18 @@ impl FmLut {
     /// fault's segment index, exactly as in the paper. With several faults all
     /// `2^{n_FM}` candidates are evaluated and the one with the smallest sum of
     /// squared error magnitudes is returned (ties break towards the smaller
-    /// index, keeping the choice deterministic).
+    /// index, keeping the choice deterministic). Each candidate re-walks the
+    /// columns, hence the `Clone` iterator: a row's fault slice or a BIST
+    /// column list is read in place, never gathered into a buffer.
     #[must_use]
-    pub fn choose_shift(geometry: SegmentGeometry, faulty_columns: &[usize]) -> usize {
-        match faulty_columns {
-            [] => 0,
-            [single] => geometry.segment_of_bit(*single),
+    pub fn choose_shift<I>(geometry: SegmentGeometry, faulty_columns: I) -> usize
+    where
+        I: Iterator<Item = usize> + Clone,
+    {
+        let mut probe = faulty_columns.clone();
+        match (probe.next(), probe.next()) {
+            (None, _) => 0,
+            (Some(single), None) => geometry.segment_of_bit(single),
             _ => {
                 let word_bits = geometry.word_bits();
                 let segment_bits = geometry.segment_bits();
@@ -126,8 +132,8 @@ impl FmLut {
                 for candidate in 0..geometry.segment_count() {
                     let shift = candidate * segment_bits;
                     let cost: u128 = faulty_columns
-                        .iter()
-                        .map(|&col| {
+                        .clone()
+                        .map(|col| {
                             // Data bit stored in physical column `col` after a
                             // right rotation by T = W − shift (`word_bits` is
                             // a power of two, so the modulo is a mask).
@@ -317,8 +323,8 @@ mod tests {
         // shift yields a cost no greater than naively aligning to the highest
         // fault.
         let g = geometry(3);
-        let columns = vec![9, 30];
-        let chosen = FmLut::choose_shift(g, &columns);
+        let columns = [9, 30];
+        let chosen = FmLut::choose_shift(g, columns.iter().copied());
         let cost = |x: usize| -> u128 {
             columns
                 .iter()

@@ -19,7 +19,7 @@ use crate::fmlut::FmLut;
 use crate::segment::SegmentGeometry;
 use crate::shifter::{rotate_left, rotate_right};
 use faultmit_ecc::{HammingSecded, SecdedCode};
-use faultmit_memsim::{corrupt_word, Fault, FaultMap};
+use faultmit_memsim::{corrupt_word, Fault};
 
 /// The word an application observes after a faulty read, plus whether the
 /// protection scheme still vouches for it.
@@ -72,23 +72,13 @@ pub trait MitigationScheme {
     /// Width of the data word the scheme protects.
     fn word_bits(&self) -> usize;
 
-    /// The value the application observes when `written` was stored at `row`
-    /// of a memory with the given fault map.
-    fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord;
-
-    /// Allocation-free fast path over one row's fault slice.
+    /// The value the application observes when `written` was stored in a row
+    /// whose faults are `row_faults`.
     ///
     /// `row_faults` must be a single row's faults sorted by ascending column
-    /// — exactly what [`FaultMap::row_faults`] returns. When a scheme
-    /// answers `Some(observed)`, the result must be **identical** to
-    /// [`MitigationScheme::observe`] on the map that produced the slice;
-    /// `None` means the scheme has no sparse path (or the slice falls
-    /// outside it) and the caller must fall back to `observe`. The default
-    /// always falls back, so custom schemes stay correct without opting in.
-    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> Option<ObservedWord> {
-        let _ = (row_faults, written);
-        None
-    }
+    /// — exactly what [`FaultMap::row_faults`](faultmit_memsim::FaultMap::row_faults)
+    /// returns.
+    fn observe(&self, row_faults: &[Fault], written: u64) -> ObservedWord;
 
     /// Worst-case error magnitude caused by a single fault at data bit
     /// position `bit` (0 when the scheme corrects such a fault).
@@ -108,12 +98,8 @@ impl<T: MitigationScheme + ?Sized> MitigationScheme for &T {
         (**self).word_bits()
     }
 
-    fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord {
-        (**self).observe(faults, row, written)
-    }
-
-    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> Option<ObservedWord> {
-        (**self).observe_sparse(row_faults, written)
+    fn observe(&self, row_faults: &[Fault], written: u64) -> ObservedWord {
+        (**self).observe(row_faults, written)
     }
 
     fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
@@ -211,20 +197,9 @@ impl Scheme {
         HammingSecded::new(word_bits).expect("scheme word widths are SECDED-compatible")
     }
 
-    /// Applies the row's faults to a raw stored word.
-    fn corrupt(faults: &FaultMap, row: usize, stored: u64) -> u64 {
-        let mut observed = stored;
-        for col in faults.faulty_columns(row) {
-            if let Some(kind) = faults.fault_at(row, col) {
-                observed = corrupt_word(observed, col, kind);
-            }
-        }
-        observed
-    }
-
-    /// [`Scheme::corrupt`] over a sorted row slice: same fault order (the
-    /// slice is sorted by column, like `faulty_columns`), no map lookups.
-    fn corrupt_slice(row_faults: &[Fault], stored: u64) -> u64 {
+    /// Applies the row's faults, in ascending column order, to a raw stored
+    /// word.
+    fn corrupt(row_faults: &[Fault], stored: u64) -> u64 {
         let mut observed = stored;
         for fault in row_faults {
             observed = corrupt_word(observed, fault.col, fault.kind);
@@ -276,18 +251,17 @@ impl MitigationScheme for Scheme {
         }
     }
 
-    fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord {
-        let columns = faults.faulty_columns(row);
-        if columns.is_empty() {
+    fn observe(&self, row_faults: &[Fault], written: u64) -> ObservedWord {
+        if row_faults.is_empty() {
             return ObservedWord::intact(written);
         }
         match self {
             Scheme::Unprotected { .. } => ObservedWord {
-                value: Self::corrupt(faults, row, written),
+                value: Self::corrupt(row_faults, written),
                 reliable: true,
             },
             Scheme::Secded { .. } => {
-                let corrupted = Self::corrupt(faults, row, written);
+                let corrupted = Self::corrupt(row_faults, written);
                 let error_bits = (corrupted ^ written).count_ones();
                 if error_bits <= 1 {
                     // A single observable error is corrected by SECDED.
@@ -304,7 +278,7 @@ impl MitigationScheme for Scheme {
                 word_bits,
                 protected_bits,
             } => {
-                let corrupted = Self::corrupt(faults, row, written);
+                let corrupted = Self::corrupt(row_faults, written);
                 let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
                 let msb_errors = ((corrupted ^ written) & msb_mask).count_ones();
                 if msb_errors <= 1 {
@@ -321,90 +295,18 @@ impl MitigationScheme for Scheme {
                 }
             }
             Scheme::BitShuffle(geometry) => {
-                let x_fm = FmLut::choose_shift(*geometry, &columns);
+                let x_fm = FmLut::choose_shift(*geometry, row_faults.iter().map(|f| f.col));
                 let shift = geometry
                     .shift_amount(x_fm)
                     .expect("choose_shift returns a valid segment index");
                 let stored = rotate_right(written, shift, geometry.word_bits());
-                let corrupted = Self::corrupt(faults, row, stored);
+                let corrupted = Self::corrupt(row_faults, stored);
                 ObservedWord {
                     value: rotate_left(corrupted, shift, geometry.word_bits()),
                     reliable: true,
                 }
             }
         }
-    }
-
-    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> Option<ObservedWord> {
-        if row_faults.is_empty() {
-            return Some(ObservedWord::intact(written));
-        }
-        Some(match self {
-            Scheme::Unprotected { .. } => ObservedWord {
-                value: Self::corrupt_slice(row_faults, written),
-                reliable: true,
-            },
-            Scheme::Secded { .. } => {
-                let corrupted = Self::corrupt_slice(row_faults, written);
-                let error_bits = (corrupted ^ written).count_ones();
-                if error_bits <= 1 {
-                    ObservedWord::intact(written)
-                } else {
-                    ObservedWord {
-                        value: corrupted,
-                        reliable: false,
-                    }
-                }
-            }
-            Scheme::PriorityEcc {
-                word_bits,
-                protected_bits,
-            } => {
-                let corrupted = Self::corrupt_slice(row_faults, written);
-                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
-                let msb_errors = ((corrupted ^ written) & msb_mask).count_ones();
-                if msb_errors <= 1 {
-                    ObservedWord {
-                        value: (written & msb_mask) | (corrupted & !msb_mask),
-                        reliable: true,
-                    }
-                } else {
-                    ObservedWord {
-                        value: corrupted,
-                        reliable: false,
-                    }
-                }
-            }
-            Scheme::BitShuffle(geometry) => {
-                let x_fm = if let [single] = row_faults {
-                    // Single-fault rows (the common case at realistic fault
-                    // densities) skip the column gather entirely.
-                    geometry.segment_of_bit(single.col)
-                } else {
-                    // Gather the (already sorted) columns into a stack buffer
-                    // for the FM-LUT vote; a word has at most 64 columns, so a
-                    // longer slice is malformed input — fall back to the
-                    // generic path.
-                    let mut columns = [0usize; 64];
-                    if row_faults.len() > columns.len() {
-                        return None;
-                    }
-                    for (slot, fault) in columns.iter_mut().zip(row_faults) {
-                        *slot = fault.col;
-                    }
-                    FmLut::choose_shift(*geometry, &columns[..row_faults.len()])
-                };
-                let shift = geometry
-                    .shift_amount(x_fm)
-                    .expect("choose_shift returns a valid segment index");
-                let stored = rotate_right(written, shift, geometry.word_bits());
-                let corrupted = Self::corrupt_slice(row_faults, stored);
-                ObservedWord {
-                    value: rotate_left(corrupted, shift, geometry.word_bits()),
-                    reliable: true,
-                }
-            }
-        })
     }
 
     fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
@@ -449,7 +351,7 @@ impl MitigationScheme for Scheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultmit_memsim::{Fault, MemoryConfig};
+    use faultmit_memsim::{Fault, FaultMap, MemoryConfig};
 
     fn map(faults: &[Fault]) -> FaultMap {
         let config = MemoryConfig::new(16, 32).unwrap();
@@ -476,7 +378,7 @@ mod tests {
     fn fault_free_rows_are_intact_under_every_scheme() {
         let faults = map(&[]);
         for scheme in Scheme::fig5_catalogue() {
-            let observed = scheme.observe(&faults, 0, 0xDEAD_BEEF);
+            let observed = scheme.observe(faults.row_faults(0), 0xDEAD_BEEF);
             assert_eq!(observed, ObservedWord::intact(0xDEAD_BEEF));
         }
     }
@@ -485,7 +387,7 @@ mod tests {
     fn unprotected_scheme_exposes_full_error() {
         let faults = map(&[Fault::bit_flip(0, 31)]);
         let scheme = Scheme::unprotected32();
-        let observed = scheme.observe(&faults, 0, 0);
+        let observed = scheme.observe(faults.row_faults(0), 0);
         assert_eq!(observed.value, 1 << 31);
         assert!(observed.reliable);
         assert_eq!(scheme.worst_case_error_magnitude(31), 1 << 31);
@@ -496,11 +398,11 @@ mod tests {
         let scheme = Scheme::secded32();
         let single = map(&[Fault::bit_flip(1, 20)]);
         assert_eq!(
-            scheme.observe(&single, 1, 0xABCD_0123),
+            scheme.observe(single.row_faults(1), 0xABCD_0123),
             ObservedWord::intact(0xABCD_0123)
         );
         let double = map(&[Fault::bit_flip(1, 20), Fault::bit_flip(1, 3)]);
-        let observed = scheme.observe(&double, 1, 0xABCD_0123);
+        let observed = scheme.observe(double.row_faults(1), 0xABCD_0123);
         assert!(!observed.reliable);
         assert_eq!(scheme.worst_case_error_magnitude(31), 0);
     }
@@ -512,7 +414,7 @@ mod tests {
         let scheme = Scheme::secded32();
         let faults = map(&[Fault::stuck_at_one(2, 5), Fault::stuck_at_zero(2, 9)]);
         let written = 1 << 5; // bit 5 already 1, bit 9 already 0
-        let observed = scheme.observe(&faults, 2, written);
+        let observed = scheme.observe(faults.row_faults(2), written);
         assert_eq!(observed, ObservedWord::intact(written));
     }
 
@@ -522,12 +424,12 @@ mod tests {
         // Fault in the protected MSB half: corrected.
         let msb = map(&[Fault::bit_flip(0, 30)]);
         assert_eq!(
-            scheme.observe(&msb, 0, 0x0F0F_0F0F),
+            scheme.observe(msb.row_faults(0), 0x0F0F_0F0F),
             ObservedWord::intact(0x0F0F_0F0F)
         );
         // Fault in the unprotected LSB half: passes through.
         let lsb = map(&[Fault::bit_flip(0, 7)]);
-        let observed = scheme.observe(&lsb, 0, 0x0F0F_0F0F);
+        let observed = scheme.observe(lsb.row_faults(0), 0x0F0F_0F0F);
         assert_eq!(observed.value, 0x0F0F_0F0F ^ (1 << 7));
         assert!(observed.reliable);
         // Worst-case magnitudes reflect the partition.
@@ -539,7 +441,7 @@ mod tests {
     fn pecc_flags_double_msb_error() {
         let scheme = Scheme::pecc32();
         let faults = map(&[Fault::bit_flip(0, 30), Fault::bit_flip(0, 20)]);
-        let observed = scheme.observe(&faults, 0, 0);
+        let observed = scheme.observe(faults.row_faults(0), 0);
         assert!(!observed.reliable);
     }
 
@@ -547,7 +449,7 @@ mod tests {
     fn pecc_corrects_one_msb_error_while_lsb_error_passes() {
         let scheme = Scheme::pecc32();
         let faults = map(&[Fault::bit_flip(0, 30), Fault::bit_flip(0, 2)]);
-        let observed = scheme.observe(&faults, 0, 0);
+        let observed = scheme.observe(faults.row_faults(0), 0);
         assert_eq!(observed.value, 1 << 2);
         assert!(observed.reliable);
     }
@@ -562,7 +464,7 @@ mod tests {
             for col in 0..32usize {
                 let faults = map(&[Fault::bit_flip(3, col)]);
                 for &written in &[0u64, 0xFFFF_FFFF, 0x8765_4321] {
-                    let observed = scheme.observe(&faults, 3, written);
+                    let observed = scheme.observe(faults.row_faults(3), written);
                     assert!(observed.reliable);
                     assert!(
                         observed.value.abs_diff(written) <= bound,
@@ -610,75 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_sparse_matches_observe_for_every_scheme() {
-        // The sparse contract: Some(answer) must equal the generic path on
-        // the map whose row slice was passed in — for every catalogue
-        // scheme, every kind mix, and both sparse and dense rows.
-        let cases: Vec<Vec<Fault>> = vec![
-            vec![],
-            vec![Fault::bit_flip(0, 31)],
-            vec![Fault::stuck_at_one(0, 5), Fault::stuck_at_zero(0, 9)],
-            vec![
-                Fault::bit_flip(0, 0),
-                Fault::bit_flip(0, 15),
-                Fault::bit_flip(0, 16),
-                Fault::stuck_at_one(0, 30),
-            ],
-            (0..32).map(|col| Fault::bit_flip(0, col)).collect(),
-        ];
-        let mut schemes = Scheme::fig5_catalogue();
-        schemes.push(Scheme::secded32());
-        for faults in &cases {
-            let map = map(faults);
-            let slice = map.row_faults(0);
-            for scheme in &schemes {
-                for &written in &[0u64, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x8000_0001] {
-                    assert_eq!(
-                        scheme.observe_sparse(slice, written),
-                        Some(scheme.observe(&map, 0, written)),
-                        "{} written={written:#x} faults={faults:?}",
-                        scheme.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn observe_sparse_default_falls_back() {
-        // A custom scheme that does not opt in keeps the default `None`.
-        struct Passthrough;
-        impl MitigationScheme for Passthrough {
-            fn name(&self) -> String {
-                "passthrough".to_owned()
-            }
-            fn word_bits(&self) -> usize {
-                32
-            }
-            fn observe(&self, _: &FaultMap, _: usize, written: u64) -> ObservedWord {
-                ObservedWord::intact(written)
-            }
-            fn worst_case_error_magnitude(&self, _: usize) -> u64 {
-                0
-            }
-            fn extra_bits_per_row(&self) -> usize {
-                0
-            }
-        }
-        assert_eq!(Passthrough.observe_sparse(&[], 7), None);
-        // The blanket `&T` impl forwards the concrete scheme's fast path.
-        let scheme = Scheme::unprotected32();
-        let by_ref: &dyn MitigationScheme = &scheme;
-        assert_eq!(
-            (&by_ref).observe_sparse(&[Fault::bit_flip(0, 3)], 0),
-            Some(ObservedWord {
-                value: 1 << 3,
-                reliable: true
-            })
-        );
-    }
-
-    #[test]
     fn shuffle_quality_dominates_pecc_for_lsb_half_faults() {
         // P-ECC leaves the low half of the word unprotected: a fault at bit 15
         // costs 2^15. Bit-shuffling with nFM >= 2 remaps that fault onto a
@@ -686,14 +519,14 @@ mod tests {
         let faults = map(&[Fault::bit_flip(0, 15)]);
         let written = 0x7FFF_8000u64;
         let pecc_err = Scheme::pecc32()
-            .observe(&faults, 0, written)
+            .observe(faults.row_faults(0), written)
             .value
             .abs_diff(written);
         assert_eq!(pecc_err, 1 << 15);
         for n_fm in 2..=5 {
             let shuffle_err = Scheme::shuffle32(n_fm)
                 .unwrap()
-                .observe(&faults, 0, written)
+                .observe(faults.row_faults(0), written)
                 .value
                 .abs_diff(written);
             assert!(

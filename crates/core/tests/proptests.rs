@@ -6,9 +6,10 @@
 //! seeded random sweep.
 
 use faultmit_core::{
-    rotate_left, rotate_right, FmLut, MitigationScheme, Scheme, SegmentGeometry, ShuffledMemory,
+    rotate_left, rotate_right, FmLut, MitigationScheme, ObservedWord, Scheme, SegmentGeometry,
+    ShuffledMemory,
 };
-use faultmit_memsim::{Fault, FaultKind, FaultMap, MemoryConfig};
+use faultmit_memsim::{Fault, FaultKind, FaultMap, MemoryConfig, SramArray};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -76,25 +77,66 @@ fn single_fault_error_is_bounded_for_all_geometries() {
     }
 }
 
-/// The stateless analysis model (`Scheme::BitShuffle`) agrees with the
-/// stateful ShuffledMemory datapath for single-fault rows.
+/// A die of 8 rows whose `row` holds 1–8 faults at distinct columns, each of
+/// a random kind, plus one fault on the next row that must not leak into
+/// `row`'s read-back.
+fn random_faulty_row(rng: &mut StdRng, row: usize) -> FaultMap {
+    let config = MemoryConfig::new(8, 32).unwrap();
+    let n_faults = rng.gen_range(1usize..=8);
+    let mut columns = BTreeSet::new();
+    while columns.len() < n_faults {
+        columns.insert(rng.gen_range(0usize..32));
+    }
+    let mut faults: Vec<Fault> = columns
+        .into_iter()
+        .map(|col| Fault::new(row, col, random_kind(rng)))
+        .collect();
+    let neighbour = (row + 1) % config.rows();
+    faults.push(Fault::new(
+        neighbour,
+        rng.gen_range(0usize..32),
+        random_kind(rng),
+    ));
+    FaultMap::from_faults(config, faults).unwrap()
+}
+
+/// The stateless scheme models agree with the stateful hardware datapaths
+/// on rows of 1–8 mixed bit-flip / stuck-at faults and random stored
+/// words: `Scheme::Unprotected` with a raw `SramArray` write/read, and
+/// `Scheme::BitShuffle` at every `n_FM` with `ShuffledMemory` (BIST-built
+/// FM-LUT, barrel shifter, faulty array).
 #[test]
 fn scheme_model_matches_hardware_datapath() {
     let mut rng = rng(203);
     for _ in 0..CASES {
+        let row = rng.gen_range(0usize..8);
+        let faults = random_faulty_row(&mut rng, row);
         let value = rng.gen::<u32>() as u64;
-        let col = rng.gen_range(0usize..32);
-        let n_fm = rng.gen_range(1usize..=5);
+        let context = format!(
+            "row {row}, value {value:#x}, faults {:?}",
+            faults.row_faults(row)
+        );
 
-        let geometry = SegmentGeometry::new(32, n_fm).unwrap();
-        let config = MemoryConfig::new(8, 32).unwrap();
-        let faults = FaultMap::from_faults(config, [Fault::bit_flip(2, col)]).unwrap();
-        let mut memory = ShuffledMemory::from_fault_map(geometry, faults.clone()).unwrap();
-        memory.write(2, value).unwrap();
-        let hardware = memory.read(2).unwrap();
-        let model = Scheme::BitShuffle(geometry).observe(&faults, 2, value);
-        assert_eq!(hardware, model.value);
-        assert!(model.reliable);
+        let mut sram = SramArray::with_faults(faults.config(), faults.clone());
+        sram.write(row, value).unwrap();
+        let hardware = ObservedWord {
+            value: sram.read(row).unwrap(),
+            reliable: true,
+        };
+        let model = Scheme::unprotected32().observe(faults.row_faults(row), value);
+        assert_eq!(model, hardware, "no-correction: {context}");
+
+        for n_fm in 1..=5usize {
+            let geometry = SegmentGeometry::new(32, n_fm).unwrap();
+            let mut memory = ShuffledMemory::from_fault_map(geometry, faults.clone()).unwrap();
+            memory.write(row, value).unwrap();
+            let hardware = ObservedWord {
+                value: memory.read(row).unwrap(),
+                reliable: true,
+            };
+            let model = Scheme::BitShuffle(geometry).observe(faults.row_faults(row), value);
+            assert_eq!(model, hardware, "n_FM {n_fm}: {context}");
+        }
     }
 }
 
@@ -122,7 +164,7 @@ fn chosen_shift_maps_fault_to_lsb_segment() {
     for col in 0usize..32 {
         for n_fm in 1usize..=5 {
             let geometry = SegmentGeometry::new(32, n_fm).unwrap();
-            let x = FmLut::choose_shift(geometry, &[col]);
+            let x = FmLut::choose_shift(geometry, [col].into_iter());
             let shift = geometry.shift_amount(x).unwrap();
             // Data bit stored in the faulty physical column after the write
             // rotation: (col + shift) mod W must be a low-significance bit.
@@ -155,7 +197,7 @@ fn multi_fault_shift_choice_is_optimal_enough() {
                 })
                 .sum()
         };
-        let chosen = FmLut::choose_shift(geometry, &columns);
+        let chosen = FmLut::choose_shift(geometry, columns.iter().copied());
         let naive = geometry.segment_of_bit(*columns.iter().max().unwrap());
         assert!(cost(chosen) <= cost(naive));
     }

@@ -246,8 +246,8 @@ impl FaultMap {
     }
 
     /// The faults of `row` as a contiguous slice, sorted by column — the
-    /// zero-copy row view sparse evaluation kernels consume (see
-    /// `MitigationScheme::observe_sparse` in `faultmit-core`).
+    /// zero-copy row view every scheme evaluates (see
+    /// `MitigationScheme::observe` in `faultmit-core`).
     #[must_use]
     pub fn row_faults(&self, row: usize) -> &[Fault] {
         &self.faults[self.row_range(row)]

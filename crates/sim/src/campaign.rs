@@ -838,7 +838,7 @@ mod tests {
             ShardSpec::solo(),
             |scheme, map| {
                 // Under the policy SECDED corrects every die.
-                faultmit_core::MitigationScheme::observe(scheme, map, 0, 0).value as f64
+                faultmit_core::MitigationScheme::observe(scheme, map.row_faults(0), 0).value as f64
             },
         );
         assert!(!result.records.is_empty());

@@ -44,7 +44,7 @@
 //!     42,
 //!     ShardSpec::solo(),
 //!     |scheme: &Scheme, map: &faultmit_memsim::FaultMap| {
-//!         faultmit_core::MitigationScheme::observe(scheme, map, 0, 0).value as f64
+//!         faultmit_core::MitigationScheme::observe(scheme, map.row_faults(0), 0).value as f64
 //!     },
 //!     CollectRecords::new,
 //! )?;

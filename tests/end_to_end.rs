@@ -61,7 +61,7 @@ fn scheme_observe_matches_real_shuffled_memory_datapath() {
             for &value in &[0u64, 0xFFFF_FFFF, 0x1234_5678, 0x8000_0001] {
                 memory.write(9, value).unwrap();
                 let hardware = memory.read(9).unwrap();
-                let model = scheme.observe(&faults, 9, value).value;
+                let model = scheme.observe(faults.row_faults(9), value).value;
                 assert_eq!(hardware, model, "col {col}, n_FM {n_fm}, value {value:#x}");
             }
         }
@@ -82,7 +82,7 @@ fn ecc_memories_and_scheme_models_agree_on_correctability() {
 
     let data_config = MemoryConfig::new(32, 32).unwrap();
     let data_faults = FaultMap::from_faults(data_config, [Fault::bit_flip(5, 31)]).unwrap();
-    let observed = Scheme::secded32().observe(&data_faults, 5, 0xCAFE_F00D);
+    let observed = Scheme::secded32().observe(data_faults.row_faults(5), 0xCAFE_F00D);
     assert_eq!(observed.value, 0xCAFE_F00D);
     assert!(observed.reliable);
 }
@@ -97,7 +97,7 @@ fn pecc_memory_and_scheme_model_agree_on_lsb_exposure() {
 
     let data_config = MemoryConfig::new(16, 32).unwrap();
     let data_faults = FaultMap::from_faults(data_config, [Fault::bit_flip(2, 7)]).unwrap();
-    let observed = Scheme::pecc32().observe(&data_faults, 2, 0xAAAA_0000);
+    let observed = Scheme::pecc32().observe(data_faults.row_faults(2), 0xAAAA_0000);
     assert_eq!(observed.value, 0xAAAA_0000 ^ (1 << 7));
 }
 

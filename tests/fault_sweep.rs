@@ -98,7 +98,7 @@ fn scheme_error_bound_survives_saturated_fault_rows() {
     .unwrap();
     let scheme = Scheme::shuffle32(5).unwrap();
     for row in (0..ROWS).step_by(17) {
-        let observed = scheme.observe(&faults, row, 0x7FFF_FFFF);
+        let observed = scheme.observe(faults.row_faults(row), 0x7FFF_FFFF);
         assert!(observed.value.abs_diff(0x7FFF_FFFF) <= 1);
     }
     assert!(memory_mse(&scheme, &faults) <= 1.0 + 1e-9);

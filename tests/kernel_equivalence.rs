@@ -1,15 +1,14 @@
 //! Equivalence suite for the evaluation kernel: the sparse MSE kernel
-//! (`memory_mse_sparse*`, built on `observe_sparse` and the flat fault
-//! map's row groups) must be **bit-identical** to the scalar
-//! `observe`-based oracle (`memory_mse_for_data`) on every backend, image,
-//! and fault-kind law, all run through `Campaign::execute`; the MSE
-//! engine must reproduce the oracle's accumulator; and the campaign's
+//! (`memory_mse_with`, a walk over the flat fault map's row groups) must
+//! be **bit-identical** to the dense-image oracle (`memory_mse_for_data`)
+//! on every backend, image, fault-kind law and map policy, all run through
+//! `Campaign::execute`; the MSE engine must reproduce the oracle's
+//! accumulator; and the campaign's
 //! reusable arenas must reproduce the fresh-allocation `DieBatch` oracle
 //! sample for sample with zero steady-state heap traffic.
 
 use faultmit::analysis::{
-    memory_mse, memory_mse_for_data, memory_mse_sparse, memory_mse_sparse_with,
-    CatalogueAccumulator, MonteCarloEngine,
+    memory_mse, memory_mse_for_data, memory_mse_with, CatalogueAccumulator, MonteCarloEngine,
 };
 use faultmit::core::Scheme;
 use faultmit::memsim::{
@@ -96,10 +95,17 @@ fn assert_records_bit_identical(a: &CollectRecords, b: &CollectRecords, context:
     }
 }
 
-/// The tentpole guarantee: sparse and scalar MSE kernels agree bit for bit
-/// on every (geometry × backend × kind-law × image) combination, sample for
-/// sample — so flipping the engine to the sparse kernel cannot move any
-/// figure by even one ULP.
+fn map_policies() -> [MapPolicy; 2] {
+    [
+        MapPolicy::Unrestricted,
+        MapPolicy::SingleFaultPerRow { max_redraws: 100 },
+    ]
+}
+
+/// The kernel agrees with the dense-image oracle bit for bit on every
+/// (geometry × backend × kind-law × image × map-policy) combination,
+/// sample for sample — so no figure can move by even one ULP between the
+/// two.
 #[test]
 fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
     let schemes = Scheme::fig5_catalogue();
@@ -107,55 +113,56 @@ fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
         for kind in BackendKind::ALL {
             for law in kind_laws() {
                 for spec in images() {
-                    let backend = Backend::at_p_cell(kind, memory, 1e-3)
-                        .unwrap()
-                        .with_kind_law(law)
-                        .unwrap();
-                    let context = format!("{kind} {law:?} {spec:?} rows={}", memory.rows());
-                    let image = spec.try_materialise(memory).unwrap();
-                    let words = image.materialise(memory.rows());
+                    for policy in map_policies() {
+                        let backend = Backend::at_p_cell(kind, memory, 1e-3)
+                            .unwrap()
+                            .with_kind_law(law)
+                            .unwrap();
+                        let config = campaign_config(backend).with_map_policy(policy);
+                        let context =
+                            format!("{kind} {law:?} {spec:?} {policy:?} rows={}", memory.rows());
+                        let image = spec.try_materialise(memory).unwrap();
+                        let words = image.materialise(memory.rows());
 
-                    // Scalar oracle: generic observe path over a dense
-                    // image vector.
-                    let scalar = records(
-                        campaign_config(backend),
-                        &schemes,
-                        |scheme: &Scheme, map: &FaultMap| memory_mse_for_data(scheme, map, &words),
-                    );
+                        // Dense oracle: every faulty row against a
+                        // materialised image vector.
+                        let oracle =
+                            records(config, &schemes, |scheme: &Scheme, map: &FaultMap| {
+                                memory_mse_for_data(scheme, map, &words)
+                            });
 
-                    // Sparse kernel: row-group walk, observe_sparse,
-                    // per-faulty-row image gather.
-                    let sparse = records(
-                        campaign_config(backend),
-                        &schemes,
-                        |scheme: &Scheme, map: &FaultMap| {
-                            memory_mse_sparse_with(scheme, map, |row| image.word(row))
-                        },
-                    );
+                        // Kernel: row-group walk, per-faulty-row image
+                        // gather.
+                        let kernel =
+                            records(config, &schemes, |scheme: &Scheme, map: &FaultMap| {
+                                memory_mse_with(scheme, map, |row| image.word(row))
+                            });
 
-                    assert_records_bit_identical(&scalar, &sparse, &context);
+                        assert_records_bit_identical(&oracle, &kernel, &context);
+                    }
                 }
             }
         }
     }
 }
 
-/// The zeros-background kernels (the historical Fig. 5 path) agree too,
-/// including through the single-fault-per-row redraw policy.
+/// The zeros-background entry point (`memory_mse`, the historical Fig. 5
+/// path) agrees with the dense oracle on an all-zeros image, including
+/// through the single-fault-per-row redraw policy.
 #[test]
 fn zeros_background_kernels_agree_under_every_map_policy() {
     let schemes = Scheme::fig5_catalogue();
     let memory = MemoryConfig::new(128, 32).unwrap();
+    let zeros = vec![0u64; memory.rows()];
     for kind in BackendKind::ALL {
-        for policy in [
-            MapPolicy::Unrestricted,
-            MapPolicy::SingleFaultPerRow { max_redraws: 100 },
-        ] {
+        for policy in map_policies() {
             let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
             let config = campaign_config(backend).with_map_policy(policy);
-            let scalar = records(config, &schemes, memory_mse);
-            let sparse = records(config, &schemes, memory_mse_sparse);
-            assert_records_bit_identical(&scalar, &sparse, &format!("{kind} {policy:?}"));
+            let oracle = records(config, &schemes, |scheme: &Scheme, map: &FaultMap| {
+                memory_mse_for_data(scheme, map, &zeros)
+            });
+            let kernel = records(config, &schemes, memory_mse);
+            assert_records_bit_identical(&oracle, &kernel, &format!("{kind} {policy:?}"));
         }
     }
 }
@@ -178,10 +185,7 @@ fn scratch_arena_matches_the_die_batch_oracle_sample_for_sample() {
     let seeder = StreamSeeder::new(SEED);
     for kind in BackendKind::ALL {
         for law in kind_laws() {
-            for policy in [
-                MapPolicy::Unrestricted,
-                MapPolicy::SingleFaultPerRow { max_redraws: 100 },
-            ] {
+            for policy in map_policies() {
                 let backend = Backend::at_p_cell(kind, memory, 2e-3)
                     .unwrap()
                     .with_kind_law(law)
@@ -230,14 +234,14 @@ fn scratch_reuse_is_bit_identical_across_worker_counts() {
     let schemes = Scheme::fig7_catalogue();
     let memory = MemoryConfig::new(512, 32).unwrap();
     let backend = Backend::at_p_cell(BackendKind::Sram, memory, 1e-3).unwrap();
-    let reference = records(campaign_config(backend), &schemes, memory_mse_sparse);
+    let reference = records(campaign_config(backend), &schemes, memory_mse);
     for workers in [2usize, 4, 8] {
         let threaded = records(
             campaign_config(backend)
                 .with_parallelism(Parallelism::threads(workers))
                 .with_chunk_size(3),
             &schemes,
-            memory_mse_sparse,
+            memory_mse,
         );
         assert_records_bit_identical(&reference, &threaded, &format!("{workers} workers"));
     }
@@ -267,7 +271,7 @@ impl SweepRng {
 /// A randomized sweep of backend × image × kind-law × campaign shape —
 /// odd sample budgets and chunk sizes from one sample to past a whole
 /// failure count, so chunk boundaries fall everywhere in the plan — on
-/// which the sparse kernel agrees with the scalar oracle bit for bit,
+/// which the sparse kernel agrees with the dense oracle bit for bit,
 /// sample for sample, and the MSE engine accumulates exactly the oracle's
 /// state.
 #[test]
@@ -302,11 +306,11 @@ fn sparse_kernel_is_bit_identical_across_a_randomized_sweep() {
                 let oracle_metric =
                     |scheme: &Scheme, map: &FaultMap| memory_mse_for_data(scheme, map, &words);
 
-                let scalar = records(config, &schemes, oracle_metric);
-                let sparse = records(config, &schemes, |scheme: &Scheme, map: &FaultMap| {
-                    memory_mse_sparse_with(scheme, map, |row| image.word(row))
+                let oracle = records(config, &schemes, oracle_metric);
+                let kernel = records(config, &schemes, |scheme: &Scheme, map: &FaultMap| {
+                    memory_mse_with(scheme, map, |row| image.word(row))
                 });
-                assert_records_bit_identical(&scalar, &sparse, &context);
+                assert_records_bit_identical(&oracle, &kernel, &context);
 
                 // The engine against the oracle's accumulator.
                 let (oracle_state, _) = Campaign::new(config)
